@@ -16,7 +16,7 @@ from typing import List
 
 import numpy as np
 
-from .fplinalg import FpVector
+from .fplinalg import FpVector, matmul_mod, power_sums, powers_mod
 from .gates import (
     PhaseIdentityError,
     find_p3_code,
@@ -27,7 +27,7 @@ from .gates import (
 from .overhead import gamma, gamma_scaling_check, primes_up_to, search_best_gamma
 from .qudit_sim import apply_x_string, apply_z_string, encode, verify_transversal_action
 from .reed_solomon import audit_distance_formula, rs_generator, rs_triply_even
-from .starproduct import check_triorthogonal, check_triply_even, power_weight
+from .starproduct import check_triorthogonal, check_triply_even
 from .triortho_css import build_code
 
 __all__ = ["run_all", "format_report"] + [f"criterion_{i}" for i in range(1, 11)]
@@ -102,9 +102,9 @@ def criterion_4() -> dict:
             continue
         if any(e != 1 for e in code.epsilon):
             bad.append(f"p{p}-l{l}-k{k}: epsilon {code.epsilon.tolist()}")
-        if any(power_weight(code.H1.row(a), 2) != p - 1 for a in range(code.k)):
+        if (power_sums(code.H1.array, 2, p) != p - 1).any():
             bad.append(f"p{p}-l{l}-k{k}: H1 square weight not -1")
-        if any(power_weight(code.H0.row(b), 2) != 0 for b in range(code.H0.nrows)):
+        if power_sums(code.H0.array, 2, p).any():
             bad.append(f"p{p}-l{l}-k{k}: H0 square weight not 0")
     detail = f"{count} constructions checked" + (f"; failures: {bad[:5]}" if bad else "")
     return _result(4, "tri-orthogonality suite p <= 31", not bad, detail)
@@ -136,7 +136,7 @@ def criterion_6() -> dict:
         if p**k > 10**6:
             continue
         code = build_code(p, l, k, budget=10**4)
-        eps = np.array(code.epsilon.tolist(), dtype=np.int64)
+        eps = code.epsilon.array
         h1 = code.H1.array
         count = p**k
         checked += 1
@@ -147,9 +147,8 @@ def criterion_6() -> dict:
             coeffs = np.empty((stop - start, k), dtype=np.int64)
             for r in range(k):
                 coeffs[:, r] = (idx // p**r) % p
-            words = coeffs @ h1 % p
-            lhs = (words**3 % p).sum(axis=1) % p
-            rhs = (coeffs**3 % p) @ eps % p
+            lhs = power_sums(matmul_mod(coeffs, h1, p), 3, p)
+            rhs = matmul_mod(powers_mod(coeffs, 3, p), eps, p)
             if (lhs != rhs).any():
                 at = int(np.nonzero(lhs != rhs)[0][0])
                 bad.append(f"p{p}-l{l}-k{k}: u index {start + at}")

@@ -2,8 +2,11 @@
 
 Everything downstream (code construction, orthogonality predicates, distance
 enumeration) runs on the types and routines in this module.  Entries are kept
-as canonical representatives in [0, p) inside int64 numpy arrays; p is capped
-below 2^31 so every intermediate product fits in 64 bits.
+as canonical representatives in [0, p) inside int64 numpy arrays, and p is
+capped below 2^31, so the product of two entries fits in 62 bits but a sum of
+such products need not fit in 64.  Hence the invariant: every sum of products
+goes through matmul_mod (float64 BLAS while the exact sum stays below 2^53,
+Python integers beyond), and power sums reduce each term mod p before adding.
 """
 
 from __future__ import annotations
@@ -24,10 +27,6 @@ __all__ = [
     "MatrixFormatError",
     "is_prime",
     "normalize",
-    "add_mod",
-    "sub_mod",
-    "mul_mod",
-    "neg_mod",
     "inv_mod",
     "pow_mod",
     "rref",
@@ -88,12 +87,10 @@ class PrimeModulus:
     def __int__(self) -> int:
         return self.p
 
-
-def _as_p(modulus) -> int:
-    """Accept PrimeModulus or raw int (validated)."""
-    if isinstance(modulus, PrimeModulus):
-        return modulus.p
-    return PrimeModulus(modulus).p
+    @classmethod
+    def of(cls, modulus) -> "PrimeModulus":
+        """The given PrimeModulus itself, or a raw int validated once."""
+        return modulus if isinstance(modulus, cls) else cls(modulus)
 
 
 # field arithmetic on canonical representatives
@@ -102,22 +99,6 @@ def _as_p(modulus) -> int:
 def normalize(x, p: int):
     """Map any integer (including negatives) into [0, p)."""
     return x % p
-
-
-def add_mod(x: int, y: int, p: int) -> int:
-    return (x + y) % p
-
-
-def sub_mod(x: int, y: int, p: int) -> int:
-    return (x - y) % p
-
-
-def mul_mod(x: int, y: int, p: int) -> int:
-    return (x * y) % p
-
-
-def neg_mod(x: int, p: int) -> int:
-    return (-x) % p
 
 
 def inv_mod(x: int, p: int) -> int:
@@ -138,9 +119,9 @@ class FpVector:
     __slots__ = ("modulus", "_a")
 
     def __init__(self, modulus, entries):
-        p = _as_p(modulus)
-        object.__setattr__(self, "modulus", PrimeModulus(p))
-        a = np.asarray(entries, dtype=np.int64) % p
+        modulus = PrimeModulus.of(modulus)
+        object.__setattr__(self, "modulus", modulus)
+        a = np.asarray(entries, dtype=np.int64) % modulus.p
         if a.ndim != 1:
             raise ValueError(f"expected 1-D entries, got shape {a.shape}")
         a.setflags(write=False)
@@ -184,11 +165,6 @@ class FpVector:
         """Hamming weight."""
         return int(np.count_nonzero(self._a))
 
-    def dot(self, other: "FpVector") -> int:
-        if len(self) != len(other) or self.p != other.p:
-            raise ValueError("length or modulus mismatch")
-        return int(np.dot(self._a, other._a) % self.p)
-
 
 class FpMatrix:
     """Immutable rectangular matrix over F_p (rows share one modulus)."""
@@ -196,8 +172,8 @@ class FpMatrix:
     __slots__ = ("modulus", "_a")
 
     def __init__(self, modulus, rows):
-        p = _as_p(modulus)
-        object.__setattr__(self, "modulus", PrimeModulus(p))
+        modulus = PrimeModulus.of(modulus)
+        object.__setattr__(self, "modulus", modulus)
         if isinstance(rows, FpMatrix):
             rows = rows._a
         a = np.asarray(rows, dtype=np.int64)
@@ -206,7 +182,7 @@ class FpMatrix:
             raise ValueError("rows must be 2-D; use FpMatrix.empty for 0-row matrices")
         if a.ndim != 2:
             raise ValueError(f"expected 2-D rows, got shape {a.shape}")
-        a = a % p
+        a = a % modulus.p
         a.setflags(write=False)
         object.__setattr__(self, "_a", a)
 
@@ -268,13 +244,18 @@ class FpMatrix:
         return FpMatrix(self.modulus, np.vstack([self._a, other._a]))
 
 
-def _rref_array(a: np.ndarray, p: int):
-    """In-place-free rref on an int64 array; returns (R, rank, pivots)."""
+def _rref_array(a: np.ndarray, p: int, pivot_cols: Optional[int] = None):
+    """The one row elimination: reduced row-echelon form of an int64 array mod p.
+
+    Pivots are sought in the first `pivot_cols` columns only (all of them by
+    default); later columns just follow the row operations, which is how
+    rref_with_transform records its transform.  Returns (R, rank, pivots).
+    """
     r = a.copy()
-    nrows, ncols = r.shape
+    nrows = r.shape[0]
     pivots = []
     row = 0
-    for col in range(ncols):
+    for col in range(r.shape[1] if pivot_cols is None else pivot_cols):
         if row >= nrows:
             break
         # deterministic pivot: first nonzero entry at or below `row`
@@ -302,57 +283,63 @@ def rref(M: FpMatrix):
 
 def rref_with_transform(M: FpMatrix):
     """rref plus the transform T with R = T @ M (mod p); T from an augmented identity."""
-    p = M.p
-    n = M.nrows
-    aug = np.hstack([M.array, np.eye(n, dtype=np.int64)])
-    # run elimination only on the original columns; the identity block records it
-    r = aug.copy()
-    pivots = []
-    row = 0
-    for col in range(M.ncols):
-        if row >= n:
-            break
-        nz = np.nonzero(r[row:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = row + int(nz[0])
-        if piv != row:
-            r[[row, piv]] = r[[piv, row]]
-        r[row] = (r[row] * inv_mod(int(r[row, col]), p)) % p
-        mask = np.ones(n, dtype=bool)
-        mask[row] = False
-        factors = r[mask, col]
-        r[mask] = (r[mask] - np.outer(factors, r[row])) % p
-        pivots.append(col)
-        row += 1
-    R = FpMatrix(M.modulus, r[:, : M.ncols])
-    T = FpMatrix(M.modulus, r[:, M.ncols :])
-    return R, row, pivots, T
+    aug = np.hstack([M.array, np.eye(M.nrows, dtype=np.int64)])
+    r, rank, pivots = _rref_array(aug, M.p, pivot_cols=M.ncols)
+    return FpMatrix(M.modulus, r[:, : M.ncols]), rank, pivots, FpMatrix(M.modulus, r[:, M.ncols :])
 
 
 def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """Exact A @ B mod p. Uses BLAS when sums fit in float64's 53-bit mantissa."""
     inner = A.shape[1] if A.ndim == 2 else A.shape[0]
     if inner * (p - 1) * (p - 1) < 2**53:
-        out = np.rint(A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
-    else:
-        out = A.astype(object) @ B.astype(object)
-        out = np.asarray(out, dtype=object)
-    return (out % p).astype(np.int64)
+        # every partial sum is an integer below 2^53, so the float result is exact
+        out = np.asarray((A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64))
+        out %= p
+        return out
+    return np.asarray(A.astype(object) @ B.astype(object) % p, dtype=np.int64)
+
+
+def powers_mod(A: np.ndarray, t: int, p: int) -> np.ndarray:
+    """Elementwise A^t mod p by square-and-multiply; no product exceeds (p-1)^2."""
+    if t < 1:
+        raise ValueError(f"power must be >= 1, got {t}")
+    out = None
+    while True:
+        if t & 1:
+            out = A if out is None else out * A % p
+        t >>= 1
+        if not t:
+            return out
+        A = A * A % p
+
+
+def power_sums(A: np.ndarray, t: int, p: int) -> np.ndarray:
+    """sum_i A[..., i]^t mod p over the last axis: one power sum per row.
+
+    Every term is reduced mod p before the sum, so a row shorter than 2^32
+    stays exact in int64.
+    """
+    return powers_mod(A, t, p).sum(axis=-1) % p
 
 
 def kernel_basis(M: FpMatrix) -> FpMatrix:
     """Basis of the right kernel {v : M v = 0 (mod p)}; ncols - rank rows."""
-    p = M.p
-    R, rank, pivots = _rref_array(M.array, p)
-    n = M.ncols
-    free = [c for c in range(n) if c not in set(pivots)]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for bi, fc in enumerate(free):
-        basis[bi, fc] = 1
-        for ri, pc in enumerate(pivots):
-            basis[bi, pc] = (-R[ri, fc]) % p
-    return FpMatrix(M.modulus, basis) if len(free) else FpMatrix.empty(M.modulus, n)
+    R, rank, pivots = _rref_array(M.array, M.p)
+    free = [c for c in range(M.ncols) if c not in set(pivots)]
+    basis = np.zeros((len(free), M.ncols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -R[:rank, free].T % M.p
+    return FpMatrix(M.modulus, basis)
+
+
+def _residue(R: np.ndarray, pivots, V: np.ndarray, p: int) -> np.ndarray:
+    """Each row of V minus its projection onto the rowspan of a reduced echelon R.
+
+    Row i < len(pivots) of R holds the only nonzero of column pivots[i], a 1,
+    so V[:, pivots] are the coefficients; a row of V lies in the span exactly
+    when its residue is zero.
+    """
+    return (V - matmul_mod(V[:, pivots], R[: len(pivots)], p)) % p
 
 
 def in_rowspan(M: FpMatrix, v: FpVector):
@@ -363,20 +350,11 @@ def in_rowspan(M: FpMatrix, v: FpVector):
     """
     if v.p != M.p or len(v) != M.ncols:
         raise ValueError("length or modulus mismatch")
-    p = M.p
     R, rank, pivots, T = rref_with_transform(M)
-    Ra = R.array
-    res = v.array.copy()
-    combo = np.zeros(M.nrows, dtype=np.int64)
-    # R is fully reduced, so the needed coefficient of row i is just res[pivot_i]
-    for i, pc in enumerate(pivots):
-        c = int(res[pc])
-        if c:
-            res = (res - c * Ra[i]) % p
-            combo = (combo + c * T.array[i]) % p
-    if np.any(res):
+    V = v.array[None, :]
+    if _residue(R.array, pivots, V, M.p).any():
         return False, None
-    return True, FpVector(M.modulus, combo)
+    return True, FpVector(M.modulus, matmul_mod(V[:, pivots], T.array[:rank], M.p)[0])
 
 
 class _SpanEnumerator:
@@ -384,33 +362,49 @@ class _SpanEnumerator:
 
     Yields (coeff_index_start, codeword_block).  The odometer order is the
     mixed-radix count of coefficient vectors with digit 0 most significant,
-    which makes failures reproducible.
+    which makes failures reproducible.  Indices run up to p^rank, far past
+    int64, so each block start is split in Python integers: the `low` least
+    significant digits count up in int64 (their radix p^low < p * chunk), and
+    the high digits are those of the start or, after the carry, one more.
+    Blocks of 2^12 words keep the per-block temporaries small; at 2^15 they
+    were freed back to the OS and page-faulted in again on every block.
     """
 
-    def __init__(self, R: np.ndarray, p: int, chunk: int = 1 << 15):
+    def __init__(self, R: np.ndarray, p: int, chunk: int = 1 << 12):
         self.R = R
         self.p = p
         self.rank = R.shape[0]
         self.total = p**self.rank
         self.chunk = chunk
-        # place values for digit extraction, most significant first
-        self.place = np.array([p ** (self.rank - 1 - j) for j in range(self.rank)], dtype=np.int64)
+        # the fewest low digits whose radix covers a chunk, so a block carries at most once
+        self.low = next((j for j in range(self.rank) if p**j >= chunk), self.rank)
+        self.low_place = np.array(self._digit_places(self.low), dtype=np.int64)
+
+    def _digit_places(self, count: int) -> list:
+        return [self.p ** (count - 1 - j) for j in range(count)]
+
+    def _digits(self, q: int, count: int) -> list:
+        return [q // place % self.p for place in self._digit_places(count)]
 
     def blocks(self, start: int = 0, stop: Optional[int] = None):
         stop = self.total if stop is None else min(stop, self.total)
-        pos = start
-        while pos < stop:
-            hi = min(pos + self.chunk, stop)
-            idx = np.arange(pos, hi, dtype=np.int64)
-            digits = (idx[:, None] // self.place[None, :]) % self.p
-            words = matmul_mod(digits, self.R, self.p)
-            yield pos, words
-            pos = hi
+        radix = self.p**self.low
+        high_count = self.rank - self.low
+        for pos in range(start, stop, self.chunk):
+            q, r = divmod(pos, radix)
+            low = r + np.arange(min(self.chunk, stop - pos), dtype=np.int64)
+            high = np.array([self._digits(q, high_count), self._digits(q + 1, high_count)], dtype=np.int64)
+            digits = np.empty((low.size, self.rank), dtype=np.int64)
+            digits[:, :high_count] = high.reshape(2, high_count)[(low >= radix).astype(np.intp)]
+            np.floor_divide((low % radix)[:, None], self.low_place, out=digits[:, high_count:])
+            digits[:, high_count:] %= self.p
+            yield pos, matmul_mod(digits, self.R, self.p)
 
 
 def _span_basis(M: FpMatrix):
-    R, rank, _ = _rref_array(M.array, M.p)
-    return R[:rank]
+    """(basis rows, pivots) of rowspan(M), the basis in reduced echelon form."""
+    R, rank, pivots = _rref_array(M.array, M.p)
+    return R[:rank], pivots
 
 
 def min_weight(M: FpMatrix, exclude: Optional[FpMatrix] = None, budget: int = DEFAULT_BUDGET) -> int:
@@ -422,15 +416,13 @@ def min_weight(M: FpMatrix, exclude: Optional[FpMatrix] = None, budget: int = DE
     inside BudgetExceeded.
     """
     p = M.p
-    basis = _span_basis(M)
+    basis, _ = _span_basis(M)
     rank = basis.shape[0]
     if rank == 0:
         raise ValueError("zero code has no nonzero codewords")
-    excl = None
-    if exclude is not None:
-        if exclude.p != p or exclude.ncols != M.ncols:
-            raise ValueError("exclude matrix shape or modulus mismatch")
-        excl = _span_basis(exclude)
+    if exclude is not None and (exclude.p != p or exclude.ncols != M.ncols):
+        raise ValueError("exclude matrix shape or modulus mismatch")
+    excl_basis, excl_pivots = _span_basis(exclude) if exclude is not None else (None, None)
 
     total = p**rank
     limit = min(total, budget)
@@ -438,14 +430,11 @@ def min_weight(M: FpMatrix, exclude: Optional[FpMatrix] = None, budget: int = DE
     enum = _SpanEnumerator(basis, p)
     for pos, words in enum.blocks(1, limit + 1 if total > limit else None):
         weights = np.count_nonzero(words, axis=1)
-        improving = np.nonzero(weights < best)[0]
-        for i in improving:
-            w = int(weights[i])
-            if w >= best:
-                continue
-            if excl is not None and _in_span_array(excl, words[i], p):
-                continue
-            best = w
+        # lightest weight class first; the first one with a word outside the excluded span wins
+        for w in np.unique(weights[weights < best]):
+            if excl_basis is None or _residue(excl_basis, excl_pivots, words[weights == w], p).any():
+                best = int(w)
+                break
     if total - 1 > limit:
         raise BudgetExceeded(
             f"{total - 1} codewords exceed budget {budget}",
@@ -456,23 +445,10 @@ def min_weight(M: FpMatrix, exclude: Optional[FpMatrix] = None, budget: int = DE
     return best
 
 
-def _in_span_array(rref_basis: np.ndarray, v: np.ndarray, p: int) -> bool:
-    """Membership of v in the span of an rref basis (array form, no transform)."""
-    res = v.copy()
-    for row in rref_basis:
-        pc = int(np.nonzero(row)[0][0]) if row.any() else None
-        if pc is None:
-            continue
-        c = int(res[pc])
-        if c:
-            res = (res - c * row) % p
-    return not np.any(res)
-
-
 def weight_distribution(M: FpMatrix, budget: int = DEFAULT_BUDGET) -> list:
     """Full weight distribution [A_0, ..., A_n] of rowspan(M) (A_0 = 1)."""
     p = M.p
-    basis = _span_basis(M)
+    basis, _ = _span_basis(M)
     rank = basis.shape[0]
     n = M.ncols
     if p**rank > budget:

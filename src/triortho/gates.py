@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fplinalg import FpMatrix, FpVector, PrimeModulus
-from .starproduct import power_weight
+from .fplinalg import FpMatrix, FpVector, PrimeModulus, matmul_mod, power_sums, powers_mod
 
 __all__ = [
     "GateSpec",
@@ -53,8 +52,7 @@ class GateSpec:
 
     @classmethod
     def make(cls, p, m: int, a: int) -> "GateSpec":
-        mod = p if isinstance(p, PrimeModulus) else PrimeModulus(p)
-        return cls(mod, m, a)
+        return cls(PrimeModulus.of(p), m, a)
 
     @property
     def p(self) -> int:
@@ -99,7 +97,7 @@ def hierarchy_level(g: GateSpec) -> int:
 
 def third_level_gate(p) -> GateSpec:
     """The canonical level-3 gate: U_{1,3} for p >= 5, U_{2,1} for p = 3."""
-    mod = p if isinstance(p, PrimeModulus) else PrimeModulus(p)
+    mod = PrimeModulus.of(p)
     if mod.p == 3:
         return GateSpec(mod, 2, 1)
     if mod.p >= 5:
@@ -121,10 +119,9 @@ def cubic_phase_sum(H: FpMatrix, u: FpVector) -> PhaseExponent:
         raise ValueError("cubic identity applies to p >= 5; use p3_phase_sum for p = 3")
     if u.p != p or len(u) != H.nrows:
         raise ValueError(f"u must have one coefficient per row of H ({H.nrows})")
-    f = FpVector(H.modulus, u.array @ H.array % p)
-    lhs = power_weight(f, 3)
-    eps = [power_weight(H.row(a), 3) for a in range(H.nrows)]
-    rhs = sum(pow(int(ua), 3, p) * e for ua, e in zip(u, eps)) % p
+    lhs = int(power_sums(matmul_mod(u.array, H.array, p), 3, p))
+    eps = power_sums(H.array, 3, p)
+    rhs = int(matmul_mod(powers_mod(u.array, 3, p), eps, p))
     if lhs != rhs:
         raise PhaseIdentityError(
             f"cubic phase identity fails for u={u.tolist()}: "
@@ -173,7 +170,7 @@ def p3_phase_sum(H: FpMatrix, u: FpVector) -> PhaseExponent:
         raise ValueError("p3_phase_sum is specific to F_3")
     if len(u) != H.nrows:
         raise ValueError(f"u must have one coefficient per row of H ({H.nrows})")
-    f = u.array @ H.array % 3
+    f = matmul_mod(u.array, H.array, 3)
     lhs = ternary_mod9_sum(int(x) for x in f)
     eps9 = [int(H.array[a].sum()) % 9 for a in range(H.nrows)]
     rhs = sum(int(ua) * e for ua, e in zip(u, eps9)) % 9
@@ -267,7 +264,7 @@ def _choices(pool, count):
 
 def _p3_identity_exhaustive(H: FpMatrix, rows_total: int) -> bool:
     for idx in range(3**rows_total):
-        u = FpVector(3, [(idx // 3**r) % 3 for r in range(rows_total)])
+        u = FpVector(H.modulus, [(idx // 3**r) % 3 for r in range(rows_total)])
         try:
             p3_phase_sum(H, u)
         except PhaseIdentityError:

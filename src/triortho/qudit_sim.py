@@ -81,7 +81,7 @@ def _digit(p: int, n: int, indices: np.ndarray, position: int) -> np.ndarray:
 
 def basis_state(p, n: int, digits: FpVector) -> QuditState:
     """|digits>: unit amplitude at one basis label."""
-    mod = p if isinstance(p, PrimeModulus) else PrimeModulus(p)
+    mod = PrimeModulus.of(p)
     if len(digits) != n or digits.p != mod.p:
         raise ValueError(f"digits must be a length-{n} vector mod {mod.p}")
     size = _check_cap(mod.p, n)

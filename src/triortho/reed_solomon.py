@@ -65,7 +65,7 @@ class Polynomial:
 
     @classmethod
     def from_coeffs(cls, modulus, coeffs) -> "Polynomial":
-        mod = modulus if isinstance(modulus, PrimeModulus) else PrimeModulus(modulus)
+        mod = PrimeModulus.of(modulus)
         p = mod.p
         dense = [0] * p
         for e, c in enumerate(coeffs):
@@ -74,7 +74,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, modulus, e: int, c: int = 1) -> "Polynomial":
-        mod = modulus if isinstance(modulus, PrimeModulus) else PrimeModulus(modulus)
+        mod = PrimeModulus.of(modulus)
         dense = [0] * mod.p
         dense[_fold_exponent(e, mod.p)] = c % mod.p
         return cls(mod, tuple(dense))
@@ -129,7 +129,7 @@ def ev(poly: Polynomial) -> FpVector:
 
 def rs_generator(p, l: int) -> FpMatrix:
     """Generator of RS_l: rows are the evaluations of x^0 .. x^(l-1); rank l."""
-    mod = p if isinstance(p, PrimeModulus) else PrimeModulus(p)
+    mod = PrimeModulus.of(p)
     pv = mod.p
     if not 1 <= l <= pv:
         raise ValueError(f"need 1 <= l <= p, got l={l}, p={pv}")
@@ -143,7 +143,7 @@ def rs_generator(p, l: int) -> FpMatrix:
 
 def rs_dual(p, l: int) -> FpMatrix:
     """Generator of the dual code: RS_l-perp equals RS_(p-l)."""
-    mod = p if isinstance(p, PrimeModulus) else PrimeModulus(p)
+    mod = PrimeModulus.of(p)
     if not 1 <= l <= mod.p - 1:
         raise ValueError(f"need 1 <= l <= p-1, got l={l}, p={mod.p}")
     return rs_generator(mod, mod.p - l)
@@ -170,8 +170,7 @@ class RsCodeSpec:
 
     @classmethod
     def make(cls, p, l: int, A=()) -> "RsCodeSpec":
-        mod = p if isinstance(p, PrimeModulus) else PrimeModulus(p)
-        return cls(mod, l, tuple(int(a) for a in A))
+        return cls(PrimeModulus.of(p), l, tuple(int(a) for a in A))
 
     @property
     def p(self) -> int:
@@ -213,11 +212,8 @@ def shorten(spec: RsCodeSpec, which: str = "p-l") -> FpMatrix:
     # combinations c with c @ gen[:, A] = 0 give the codewords vanishing on A
     acols = FpMatrix(spec.modulus, gen.array[:, list(spec.A)].T)
     combos = kernel_basis(acols)
-    keep = list(spec.complement())
-    if combos.nrows == 0:
-        return FpMatrix.empty(spec.modulus, len(keep))
-    words = combos.array @ gen.array % spec.p
-    return FpMatrix(spec.modulus, words[:, keep])
+    words = matmul_mod(combos.array, gen.array, spec.p)
+    return FpMatrix(spec.modulus, words[:, list(spec.complement())])
 
 
 def rs_triply_even(p, l: int) -> bool:
@@ -228,7 +224,7 @@ def rs_triply_even(p, l: int) -> bool:
     case 3l = p + 1 (degree p - 2) is still triply even.  Cross-checked
     against check_triply_even exhaustively in the test suite.
     """
-    pv = p.p if isinstance(p, PrimeModulus) else PrimeModulus(p).p
+    pv = PrimeModulus.of(p).p
     if not 1 <= l <= pv:
         raise ValueError(f"need 1 <= l <= p, got l={l}")
     return 3 * l <= pv + 1

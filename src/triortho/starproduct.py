@@ -13,7 +13,16 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .fplinalg import FpMatrix, FpVector, in_rowspan, kernel_basis, matmul_mod
+from .fplinalg import (
+    FpMatrix,
+    FpVector,
+    _span_basis,
+    _SpanEnumerator,
+    in_rowspan,
+    kernel_basis,
+    matmul_mod,
+    power_sums,
+)
 
 __all__ = [
     "StarWitness",
@@ -62,17 +71,7 @@ def star(u: FpVector, v: FpVector, *more: FpVector) -> FpVector:
 
 def power_weight(u: FpVector, t: int) -> int:
     """Sum of t-th powers of the entries, mod p."""
-    if t < 1:
-        raise ValueError(f"power must be >= 1, got {t}")
-    p = u.p
-    a = u.array
-    if t == 1:
-        return int(a.sum() % p)
-    if t == 2:
-        return int((a * a % p).sum() % p)
-    if t == 3:
-        return int((a * a % p) @ a % p)
-    return sum(pow(int(x), t, p) for x in a) % p
+    return int(power_sums(u.array, t, u.p))
 
 
 def triple_weight(u: FpVector, v: FpVector, w: FpVector) -> int:
@@ -156,21 +155,13 @@ def triply_even_exhaustive(G: FpMatrix, max_words: int = 1000) -> bool:
 
     Only viable for p^rank <= max_words; used to validate the basis check.
     """
-    from .fplinalg import rref
-
     p = G.p
-    R, rank, _ = rref(G)
-    if p**rank > max_words:
-        raise ValueError(f"span too large for the exhaustive oracle ({p**rank} words)")
-    basis = R.array[:rank]
-    if rank == 0:
-        return True
+    basis, _ = _span_basis(G)
+    count = p ** basis.shape[0]
+    if count > max_words:
+        raise ValueError(f"span too large for the exhaustive oracle ({count} words)")
     # enumerate the whole span, then check all pair-star x codeword sums
-    count = p**rank
-    place = np.array([p ** (rank - 1 - j) for j in range(rank)], dtype=np.int64)
-    idx = np.arange(count, dtype=np.int64)
-    digits = (idx[:, None] // place[None, :]) % p
-    words = matmul_mod(digits, basis, p)
+    words = np.vstack([w for _, w in _SpanEnumerator(basis, p).blocks()])
     for i in range(count):
         # triple weight is symmetric, so pairs (i, j >= i) against all words suffice
         pair_stars = words[i:] * words[i] % p

@@ -29,17 +29,20 @@ from .fplinalg import (
     FpVector,
     MatrixFormatError,
     PrimeModulus,
-    in_rowspan,
+    _span_basis,
+    _SpanEnumerator,
     inv_mod,
     kernel_basis,
     matmul_mod,
     min_weight,
     macwilliams_dual_distribution,
+    power_sums,
     rref,
+    rref_with_transform,
     weight_distribution,
 )
 from .reed_solomon import RsCodeSpec, rs_generator, rs_triply_even
-from .starproduct import check_triorthogonal, power_weight
+from .starproduct import check_triorthogonal
 
 __all__ = [
     "PunctureRankError",
@@ -74,18 +77,11 @@ def systematic_puncture(rs_gen: FpMatrix, A) -> Tuple[FpMatrix, FpMatrix]:
         raise PunctureRankError("puncture positions must be distinct")
     if any(a < 0 or a >= rs_gen.ncols for a in A):
         raise PunctureRankError("puncture position out of range")
-    arr = np.array(rs_gen.array)
-    m = rs_gen.nrows
-    for j, col in enumerate(A):
-        pivot = next((r for r in range(j, m) if arr[r, col]), None)
-        if pivot is None:
-            raise PunctureRankError(f"puncture set unusable: columns {A} are rank deficient")
-        if pivot != j:
-            arr[[j, pivot]] = arr[[pivot, j]]
-        arr[j] = arr[j] * inv_mod(int(arr[j, col]), p) % p
-        for r in range(m):
-            if r != j and arr[r, col]:
-                arr[r] = (arr[r] - arr[r, col] * arr[j]) % p
+    # with rank k the A block of T @ rs_gen is [Identity; 0]
+    _, rank, _, T = rref_with_transform(FpMatrix(rs_gen.modulus, rs_gen.array[:, list(A)]))
+    if rank < k:
+        raise PunctureRankError(f"puncture set unusable: columns {A} are rank deficient")
+    arr = matmul_mod(T.array, rs_gen.array, p)
     rest = [c for c in range(rs_gen.ncols) if c not in set(A)]
     h1 = (-arr[:k][:, rest]) % p  # flip sign so the A block is -Identity
     h0 = arr[k:][:, rest]
@@ -97,21 +93,8 @@ def systematic_puncture(rs_gen: FpMatrix, A) -> Tuple[FpMatrix, FpMatrix]:
 
 def partition_rows(H: FpMatrix) -> Tuple[FpMatrix, FpMatrix]:
     """Split rows by square weight: (H0: rows with sum h_i^2 = 0, H1: the rest)."""
-    zero_rows = []
-    nonzero_rows = []
-    for i in range(H.nrows):
-        row = H.row(i)
-        if power_weight(row, 2) == 0:
-            zero_rows.append(H.array[i])
-        else:
-            nonzero_rows.append(H.array[i])
-
-    def pack(rows):
-        if rows:
-            return FpMatrix(H.modulus, np.array(rows, dtype=np.int64))
-        return FpMatrix.empty(H.modulus, H.ncols)
-
-    return pack(zero_rows), pack(nonzero_rows)
+    zero = power_sums(H.array, 2, H.p) == 0
+    return FpMatrix(H.modulus, H.array[zero]), FpMatrix(H.modulus, H.array[~zero])
 
 
 @dataclass(frozen=True)
@@ -130,7 +113,6 @@ class TriorthogonalCode:
     d: int
     d_verified: bool
     d_x: Optional[int]
-    d_literal: Optional[int]
 
     @property
     def p(self) -> int:
@@ -193,30 +175,21 @@ def _distance_exact_x(H0, H1, budget: int) -> Optional[int]:
     return None
 
 
-def _distance_literal(H1, G, budget: int) -> Optional[int]:
-    """Minimum weight over span(H1) \\ span(G) — the narrower reading."""
-    p = H1.p
-    if H1.nrows == 0 or p**H1.nrows > budget:
-        return None
-    return min_weight(H1, exclude=G, budget=budget)
-
-
 def _assemble(modulus, l, A, H0, H1, budget, claimed: Optional[int]) -> TriorthogonalCode:
     stacked = H1.stack(H0)
     ok, witness = check_triorthogonal(stacked)
     if not ok:
         raise ValueError(f"matrix is not tri-orthogonal: {witness}")
-    for i in range(H0.nrows):
-        if power_weight(H0.row(i), 2) != 0:
-            raise ValueError(f"H0 row {i} has nonzero square weight")
-    for i in range(H1.nrows):
-        if power_weight(H1.row(i), 2) == 0:
-            raise ValueError(f"H1 row {i} has zero square weight")
+    square0 = power_sums(H0.array, 2, modulus.p)
+    if square0.any():
+        raise ValueError(f"H0 row {int(np.flatnonzero(square0)[0])} has nonzero square weight")
+    square1 = power_sums(H1.array, 2, modulus.p)
+    if not square1.all():
+        raise ValueError(f"H1 row {int(np.flatnonzero(square1 == 0)[0])} has zero square weight")
     G = kernel_basis(stacked)
-    eps = FpVector(modulus, [power_weight(H1.row(a), 3) for a in range(H1.nrows)])
+    eps = FpVector(modulus, power_sums(H1.array, 3, modulus.p))
     d_z = _distance_exact_z(H0, H1, G, budget)
     d_x = _distance_exact_x(H0, H1, budget)
-    d_lit = _distance_literal(H1, G, budget)
     if H1.nrows == 0:
         d, verified = 0, True  # no logical classes: distance is vacuous
     elif d_z is not None:
@@ -238,13 +211,12 @@ def _assemble(modulus, l, A, H0, H1, budget, claimed: Optional[int]) -> Triortho
         d=d,
         d_verified=verified,
         d_x=d_x,
-        d_literal=d_lit,
     )
 
 
 def build_code(p, l: int, k: int, A=None, budget: int = DEFAULT_BUDGET) -> TriorthogonalCode:
     """Full pipeline from (p, l, k) to a verified code with params (p-k, k, d)."""
-    modulus = p if isinstance(p, PrimeModulus) else PrimeModulus(p)
+    modulus = PrimeModulus.of(p)
     if not rs_triply_even(modulus, l):
         raise ValueError(f"3l <= p+1 failed for p={modulus.p}, l={l}: RS_l is not triply even")
     if A is None:
@@ -266,7 +238,7 @@ def build_code(p, l: int, k: int, A=None, budget: int = DEFAULT_BUDGET) -> Trior
 
 def code_from_matrix(p, H: FpMatrix, budget: int = DEFAULT_BUDGET) -> TriorthogonalCode:
     """Build a code from a user-supplied tri-orthogonal matrix (rows any order)."""
-    modulus = p if isinstance(p, PrimeModulus) else PrimeModulus(p)
+    modulus = PrimeModulus.of(p)
     if H.p != modulus.p:
         raise ValueError("matrix modulus disagrees with p")
     H0, H1 = partition_rows(H)
@@ -285,9 +257,7 @@ def validate_code(code: TriorthogonalCode) -> dict:
     ok, witness = check_triorthogonal(code.H)
     checks.append(_check("tri_orthogonality", ok, "" if ok else str(witness)))
 
-    part_ok = all(power_weight(code.H0.row(i), 2) == 0 for i in range(code.H0.nrows)) and all(
-        power_weight(code.H1.row(i), 2) != 0 for i in range(code.H1.nrows)
-    )
+    part_ok = not power_sums(code.H0.array, 2, p).any() and power_sums(code.H1.array, 2, p).all()
     checks.append(_check("square_weight_partition", part_ok))
 
     comm = not matmul_mod(code.H1.stack(code.H0).array, code.G.array.T, p).any()
@@ -315,7 +285,8 @@ def validate_code(code: TriorthogonalCode) -> dict:
     dim_ok = code.k == code.n - rank_h0 - rank_g and code.k == code.H1.nrows
     checks.append(_check("dimension", dim_ok, f"n={code.n}, rank H0={rank_h0}, rank G={rank_g}"))
 
-    inside = all(in_rowspan(code.G, code.H0.row(i))[0] for i in range(code.H0.nrows))
+    _, rank_g_h0, _ = rref(code.G.stack(code.H0))
+    inside = rank_g_h0 == rank_g
     checks.append(_check("x_stabilizers_inside_z_span", inside))
 
     _, rank_all, _ = rref(code.H.stack(code.G))
@@ -328,7 +299,7 @@ def validate_code(code: TriorthogonalCode) -> dict:
         )
     )
 
-    eps_ok = code.epsilon == FpVector(code.modulus, [power_weight(code.H1.row(a), 3) for a in range(code.k)])
+    eps_ok = code.epsilon == FpVector(code.modulus, power_sums(code.H1.array, 3, p))
     checks.append(_check("cubic_weights", eps_ok))
 
     if code.d_x is not None and code.d_verified:
@@ -346,15 +317,13 @@ def encoded_state_support(code: TriorthogonalCode, u: FpVector) -> set:
     if len(u) != code.k or u.p != code.p:
         raise ValueError(f"u must be a length-{code.k} vector mod {code.p}")
     p = code.p
-    base = u.array @ code.H1.array % p if code.k else np.zeros(code.n, dtype=np.int64)
-    R, rank, _ = rref(code.H0)
-    basis = R.array[:rank]
-    out = set()
-    for idx in range(p**rank):
-        coeffs = np.array([(idx // p**j) % p for j in range(rank)], dtype=np.int64)
-        word = (base + coeffs @ basis) % p
-        out.add(FpVector(code.modulus, word))
-    return out
+    base = matmul_mod(u.array, code.H1.array, p)
+    basis, _ = _span_basis(code.H0)
+    return {
+        FpVector(code.modulus, (base + word) % p)
+        for _, words in _SpanEnumerator(basis, p).blocks()
+        for word in words
+    }
 
 
 def to_descriptor(code: TriorthogonalCode) -> dict:
@@ -452,5 +421,4 @@ def from_descriptor(data) -> TriorthogonalCode:
         d=d,
         d_verified=params["d_verified"],
         d_x=None,
-        d_literal=None,
     )

@@ -62,7 +62,6 @@ def test_build_small_code():
     assert code.params == (6, 1, 2)  # exact coset distance, one above l - k
     assert code.d_verified
     assert code.d_x == 5
-    assert code.d_literal == 6  # multiples of the all-sixes row keep full weight
     assert code.epsilon.tolist() == [1]
     assert code.code_id == "p7-l2-k1-A0"
     report = validate_code(code)
@@ -76,7 +75,6 @@ def test_build_code_13_4_1():
     assert code.params == (12, 1, 4)  # via the dual-distribution route
     assert code.d_verified
     assert code.d_x == 9
-    assert code.d <= code.d_literal
     assert validate_code(code)["passed"]
     # independent route: enumerate span(H) directly for the X distance
     assert min_weight(code.H, exclude=code.H0) == 9
@@ -86,7 +84,7 @@ def test_build_large_codes_flagged_unverified():
     c41 = build_code(41, 12, 6)
     assert c41.params == (35, 6, 6)
     assert not c41.d_verified
-    assert c41.d_x is None and c41.d_literal is None
+    assert c41.d_x is None
     c97 = build_code(97, 29, 14)
     assert c97.params == (83, 14, 15)
     assert not c97.d_verified
