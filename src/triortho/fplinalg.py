@@ -357,48 +357,104 @@ def in_rowspan(M: FpMatrix, v: FpVector):
     return True, FpVector(M.modulus, matmul_mod(V[:, pivots], T.array[:rank], M.p)[0])
 
 
-class _SpanEnumerator:
-    """Chunked lexicographic enumeration of rowspan(R) for an rref basis R.
+_TABLE_WORDS = 1 << 15  # most words in an enumerator's low-digit table
+_STEP = 1 << 12  # words per table-build step, and per block of a one-digit range
 
-    Yields (coeff_index_start, codeword_block).  The odometer order is the
-    mixed-radix count of coefficient vectors with digit 0 most significant,
-    which makes failures reproducible.  Indices run up to p^rank, far past
-    int64, so each block start is split in Python integers: the `low` least
-    significant digits count up in int64 (their radix p^low < p * chunk), and
-    the high digits are those of the start or, after the carry, one more.
-    Blocks of 2^12 words keep the per-block temporaries small; at 2^15 they
-    were freed back to the OS and page-faulted in again on every block.
+
+class _SpanEnumerator:
+    """Lexicographic enumeration of rowspan(R) for a basis R (independent rows).
+
+    Word i is digits(i) · R mod p, digits(i) being the base-p digits of i with
+    digit 0 most significant: the odometer order, which keeps failures
+    reproducible.  The `low` least significant digits index a table, the span
+    of the last `low` rows, precomputed once, column-major, in the narrowest
+    dtype that holds a residue (uint8 for p < 256, uint16 otherwise).  Its
+    memory is bounded for every p: at most 2^15 words, built 2^12 at a time.
+    Above that cap, when p alone exceeds it, a one-digit range j · R[-1]
+    (2^12 values of j at a time) takes the table's place.
+
+    A prefix of the high digits (a Python integer, as p^rank runs far past
+    int64) owns radix = p^low consecutive words: (low part + base) mod p, with
+    base = prefix · R[:high] one small product, so words cost additions, not
+    a matmul over all rank rows.  A segment is one low part shared by m
+    consecutive prefixes, its words prefix by prefix: the whole table for as
+    many whole prefixes as fit in 2^15 words, else a slice of the table (or
+    of the one-digit range) for one prefix.  So a range takes at most one
+    segment per 2^12 words, plus one per prefix end and one for each end of
+    the range, however small the table.
+    segments() yields (first index, bases of shape (m, n), low part of shape
+    (n, size)); weights() counts the segment's word weights without building
+    the words, words() builds those it is asked for, and blocks() yields the
+    int64 words, 2^12 at a time.
     """
 
-    def __init__(self, R: np.ndarray, p: int, chunk: int = 1 << 12):
+    def __init__(self, R: np.ndarray, p: int):
         self.R = R
         self.p = p
-        self.rank = R.shape[0]
+        self.rank, self.n = R.shape
         self.total = p**self.rank
-        self.chunk = chunk
-        # the fewest low digits whose radix covers a chunk, so a block carries at most once
-        self.low = next((j for j in range(self.rank) if p**j >= chunk), self.rank)
-        self.low_place = np.array(self._digit_places(self.low), dtype=np.int64)
+        self.low = min(self.rank, 1)
+        while self.low < self.rank and p ** (self.low + 1) <= _TABLE_WORDS:
+            self.low += 1
+        self.high = self.rank - self.low
+        self.radix = p**self.low
+        self.places = [p ** (self.high - 1 - j) for j in range(self.high)]
+        # when p alone exceeds the cap, a one-digit range takes the table's place
+        self.table = self._build_table() if self.radix <= _TABLE_WORDS else None
 
-    def _digit_places(self, count: int) -> list:
-        return [self.p ** (count - 1 - j) for j in range(count)]
+    def _build_table(self) -> np.ndarray:
+        place = self.p ** np.arange(self.low - 1, -1, -1, dtype=np.int64)
+        rows_t = self.R[self.high :].T
+        table = np.empty((self.n, self.radix), dtype=np.uint8 if self.p < 256 else np.uint16)
+        for a in range(0, self.radix, _STEP):
+            idx = np.arange(a, min(a + _STEP, self.radix), dtype=np.int64)
+            # exact in int64: at most 15 products, each below p^2 <= 2^30
+            chunk = rows_t @ (idx // place[:, None] % self.p)
+            chunk %= self.p
+            table[:, a : a + idx.size] = chunk
+        return table
 
-    def _digits(self, q: int, count: int) -> list:
-        return [q // place % self.p for place in self._digit_places(count)]
+    def segments(self, start: int = 0, stop: Optional[int] = None):
+        stop = self.total if stop is None else min(stop, self.total)
+        pos = start
+        while pos < stop:
+            q, r = divmod(pos, self.radix)
+            m = 1
+            if self.table is None:
+                size = min(stop - pos, self.radix - r, _STEP)
+                part = self.R[-1][:, None] * np.arange(r, r + size, dtype=np.int64) % self.p
+            elif r == 0 and stop - pos >= self.radix:
+                m = min(max(1, _TABLE_WORDS // self.radix), (stop - pos) // self.radix)
+                part = self.table
+            else:
+                size = min(stop - pos, self.radix - r)
+                part = self.table[:, r : r + size]
+            prefixes = [[c // place % self.p for place in self.places] for c in range(q, q + m)]
+            bases = matmul_mod(np.array(prefixes, dtype=np.int64).reshape(m, self.high), self.R[: self.high], self.p)
+            yield pos, bases, part
+            pos += m * part.shape[1]
+
+    def weights(self, bases: np.ndarray, part: np.ndarray) -> np.ndarray:
+        """Weights of a segment's words: an entry part + base is 0 exactly when part == -base."""
+        weights = np.full((len(bases), part.shape[1]), self.n, dtype=np.min_scalar_type(self.n))
+        for column, targets in zip(part, (-bases.T % self.p).astype(part.dtype)):
+            weights -= column == targets[:, None]
+        return weights.ravel()
+
+    def words(self, bases: np.ndarray, part: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """The segment's words at the given positions, one per row, as int64 in [0, p)."""
+        prefix, column = np.divmod(index, part.shape[1])
+        words = part.T[column].astype(np.int64)
+        words += bases[prefix] if len(bases) > 1 else bases
+        np.subtract(words, self.p, out=words, where=words >= self.p)
+        return words
 
     def blocks(self, start: int = 0, stop: Optional[int] = None):
-        stop = self.total if stop is None else min(stop, self.total)
-        radix = self.p**self.low
-        high_count = self.rank - self.low
-        for pos in range(start, stop, self.chunk):
-            q, r = divmod(pos, radix)
-            low = r + np.arange(min(self.chunk, stop - pos), dtype=np.int64)
-            high = np.array([self._digits(q, high_count), self._digits(q + 1, high_count)], dtype=np.int64)
-            digits = np.empty((low.size, self.rank), dtype=np.int64)
-            digits[:, :high_count] = high.reshape(2, high_count)[(low >= radix).astype(np.intp)]
-            np.floor_divide((low % radix)[:, None], self.low_place, out=digits[:, high_count:])
-            digits[:, high_count:] %= self.p
-            yield pos, matmul_mod(digits, self.R, self.p)
+        """(index of the first word, int64 words) for [start, stop), at most 2^12 words at a time."""
+        for pos, bases, part in self.segments(start, stop):
+            count = len(bases) * part.shape[1]
+            for a in range(0, count, _STEP):
+                yield pos + a, self.words(bases, part, np.arange(a, min(a + _STEP, count)))
 
 
 def _span_basis(M: FpMatrix):
@@ -428,11 +484,13 @@ def min_weight(M: FpMatrix, exclude: Optional[FpMatrix] = None, budget: int = DE
     limit = min(total, budget)
     best = M.ncols + 1
     enum = _SpanEnumerator(basis, p)
-    for pos, words in enum.blocks(1, limit + 1 if total > limit else None):
-        weights = np.count_nonzero(words, axis=1)
-        # lightest weight class first; the first one with a word outside the excluded span wins
+    for _, bases, part in enum.segments(1, limit + 1 if total > limit else None):
+        weights = enum.weights(bases, part)
+        # lightest weight class first; the first one with a word outside the excluded span wins,
+        # and only the words of a class tested against that span are built
         for w in np.unique(weights[weights < best]):
-            if excl_basis is None or _residue(excl_basis, excl_pivots, words[weights == w], p).any():
+            words = None if excl_basis is None else enum.words(bases, part, np.flatnonzero(weights == w))
+            if words is None or _residue(excl_basis, excl_pivots, words, p).any():
                 best = int(w)
                 break
     if total - 1 > limit:
@@ -454,13 +512,9 @@ def weight_distribution(M: FpMatrix, budget: int = DEFAULT_BUDGET) -> list:
     if p**rank > budget:
         raise BudgetExceeded(f"{p**rank} codewords exceed budget {budget}")
     counts = np.zeros(n + 1, dtype=np.int64)
-    if rank == 0:
-        counts[0] = 1
-        return counts.tolist()
     enum = _SpanEnumerator(basis, p)
-    for _, words in enum.blocks():
-        weights = np.count_nonzero(words, axis=1)
-        counts += np.bincount(weights, minlength=n + 1)
+    for _, bases, part in enum.segments():
+        counts += np.bincount(enum.weights(bases, part), minlength=n + 1)
     return counts.tolist()
 
 

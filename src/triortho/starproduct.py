@@ -88,19 +88,20 @@ def check_triorthogonal(H: FpMatrix):
     p = H.p
     A = H.array
     m = H.nrows
-    # pairwise inner products in one shot; report the first nonzero above the diagonal
-    P = matmul_mod(A, A.T, p)
-    for a in range(m):
-        for b in range(a + 1, m):
-            if P[a, b]:
-                return False, StarWitness("pair", (a, b), int(P[a, b]))
-    for a in range(m):
-        for b in range(a + 1, m):
-            ab = A[a] * A[b] % p
-            sums = matmul_mod(A[b + 1 :], ab[:, None], p).ravel() if b + 1 < m else ()
-            for off, val in enumerate(sums):
-                if val:
-                    return False, StarWitness("triple", (a, b, b + 1 + off), int(val))
+    # pairwise inner products in one shot; the first nonzero above the diagonal,
+    # in row-major order, is the lexicographically first pair
+    sums = np.triu(matmul_mod(A, A.T, p), 1)
+    pairs = np.argwhere(sums)
+    if pairs.size:
+        a, b = (int(x) for x in pairs[0])
+        return False, StarWitness("pair", (a, b), int(sums[a, b]))
+    for a in range(m - 2):
+        # entry (i, j) is the triple (a, a+1+i, a+2+j); the upper triangle j >= i keeps c > b
+        sums = np.triu(matmul_mod(A[a] * A[a + 1 :] % p, A[a + 2 :].T, p))
+        triples = np.argwhere(sums)
+        if triples.size:
+            i, j = (int(x) for x in triples[0])
+            return False, StarWitness("triple", (a, a + 1 + i, a + 2 + j), int(sums[i, j]))
     return True, None
 
 

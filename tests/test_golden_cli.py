@@ -3,7 +3,9 @@
 The digests pin the exact bytes printed, so a change to the arithmetic
 underneath cannot silently move a descriptor (G is a kernel basis), a
 verify report or a witness.  They were recorded before the F_p kernel was
-consolidated; a deliberate output change must re-record them and say why.
+consolidated (the (17,6,3) and p=701 constructs before the distance routes
+and the span enumerator were reworked); a deliberate output change must
+re-record them and say why.
 """
 
 import hashlib
@@ -22,6 +24,17 @@ GOLDEN = {
     "construct-41-12-6": (
         ["construct", "--p", "41", "--l", "12", "--k", "6"],
         "6b9bc8a8f8ae7c5f400bf013c9b715533193e03f42bffa81c6ceed75e5d55a9c",
+        0,
+    ),
+    # the largest exactly enumerated family member, and elimination at size
+    "construct-17-6-3-positions": (
+        ["construct", "--p", "17", "--l", "6", "--k", "3", "--positions", "2,7,11"],
+        "c84331f6f465eaae0631467a3b556dca5ce387d1a457039c8bf069408f736848",
+        0,
+    ),
+    "construct-701-234-100": (
+        ["construct", "--p", "701", "--l", "234", "--k", "100"],
+        "9f48ef0351dbe0842d3e134a3f2f64dfa4cc96c52c311ab852bcc4fe2dd3f3b8",
         0,
     ),
 }

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from triortho.fplinalg import FpMatrix, FpVector, rref
+from triortho.fplinalg import FpMatrix, FpVector, kernel_basis, matmul_mod, rref
 from triortho.starproduct import (
     StarWitness,
     check_triorthogonal,
@@ -149,3 +151,72 @@ def test_witness_validation():
         StarWitness("nope", (0, 1), 1)
     with pytest.raises(ValueError):
         StarWitness("triple", (0, 1), 1)
+
+
+def pair_by_pair_witness(H):
+    """The scan check_triorthogonal batches: pairs (a, b), then triples (a, b, c), lexicographically."""
+    p, A, m = H.p, H.array, H.nrows
+    P = matmul_mod(A, A.T, p)
+    for a in range(m):
+        for b in range(a + 1, m):
+            if P[a, b]:
+                return StarWitness("pair", (a, b), int(P[a, b]))
+    for a in range(m):
+        for b in range(a + 1, m):
+            ab = A[a] * A[b] % p
+            sums = matmul_mod(A[b + 1 :], ab[:, None], p).ravel() if b + 1 < m else ()
+            for off, val in enumerate(sums):
+                if val:
+                    return StarWitness("triple", (a, b, b + 1 + off), int(val))
+    return None
+
+
+def _random_in_kernel(rng, rows, p):
+    basis = kernel_basis(FpMatrix(p, rows)).array
+    return matmul_mod(rng.integers(0, p, size=basis.shape[0]), basis, p)
+
+
+def _planted_triple(rng, p):
+    """Three 4-entry rows with vanishing pair sums and a nonzero triple sum."""
+    while True:
+        x = rng.integers(1, p, size=4)
+        y = _random_in_kernel(rng, [x], p)
+        z = _random_in_kernel(rng, [x, y], p)
+        if (x * y % p * z % p).sum() % p:
+            return np.stack([x, y, z])
+
+
+@st.composite
+def planted_matrices(draw):
+    """Rows with disjoint private supports (tri-orthogonal), plus planted violations.
+
+    A pair (a, b) shares one column of nonzero entries; a triple (a, b, c)
+    shares four columns whose pair sums vanish but whose triple sum does not.
+    """
+    p = draw(st.sampled_from((7, 701, 2**31 - 1)))
+    m = draw(st.integers(3, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = [np.diag(rng.integers(1, p, size=m))]
+    for _ in range(draw(st.integers(0, 3))):
+        rows = sorted(rng.choice(m, size=3, replace=False))
+        block = np.zeros((m, 4), dtype=np.int64)
+        if draw(st.booleans()):
+            block[rows[:2], 0] = rng.integers(1, p, size=2)
+        else:
+            block[rows] = _planted_triple(rng, p)
+        blocks.append(block)
+    return FpMatrix(p, np.hstack(blocks))
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_matrices())
+def test_check_triorthogonal_witness_matches_pair_by_pair_scan(H):
+    expected = pair_by_pair_witness(H)
+    assert check_triorthogonal(H) == (expected is None, expected)
+
+
+def test_check_triorthogonal_passes_f7_counterexample():
+    # tri-orthogonal by the pair/triple conditions although its cubic identity fails
+    H = FpMatrix.from_rows(7, [[1, 1, 2], [2, 4, 4]])
+    assert pair_by_pair_witness(H) is None
+    assert check_triorthogonal(H) == (True, None)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from triortho.fplinalg import (
+    DEFAULT_BUDGET,
     FpMatrix,
     FpVector,
     MatrixFormatError,
@@ -15,6 +16,7 @@ from triortho.fplinalg import (
     min_weight,
     rref,
 )
+from triortho.gates import find_p3_code
 from triortho.reed_solomon import rs_generator
 from triortho.starproduct import power_weight
 from triortho.triortho_css import (
@@ -209,3 +211,34 @@ def test_stabilizer_commutation_explicit():
     code = build_code(13, 4, 1)
     assert not matmul_mod(code.H0.array, code.G.array.T, 13).any()
     assert not matmul_mod(code.H1.array, code.G.array.T, 13).any()
+
+
+CROSS_ROUTE = [
+    ((7, 2, 1), (0,)),
+    ((7, 2, 1), (3,)),
+    ((7, 2, 1), (6,)),
+    ((11, 4, 2), (1, 5)),
+    ((11, 4, 2), (0, 10)),
+    ((13, 4, 1), (0,)),
+    ((13, 4, 1), (7,)),
+]
+
+
+def assert_routes_agree(code):
+    # build_code takes both distances from the span(H0) and span(H) distributions;
+    # enumeration by min_weight is the independent check of each
+    assert code.d_verified
+    assert code.d_x == min_weight(code.H, exclude=code.H0)
+    coset = code.H1.stack(code.G)
+    if code.p ** (code.k + code.G.nrows) <= DEFAULT_BUDGET:
+        assert code.d == min_weight(coset, exclude=code.G)
+
+
+@pytest.mark.parametrize("plk, A", CROSS_ROUTE)
+def test_distance_routes_agree(plk, A):
+    # (13,4,1): span([H1; G]) has 13^9 words, past the budget, so only d_X is cross-checked
+    assert_routes_agree(build_code(*plk, A=A))
+
+
+def test_distance_routes_agree_on_the_qutrit_code():
+    assert_routes_agree(find_p3_code())
