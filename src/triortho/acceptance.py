@@ -16,11 +16,11 @@ from typing import List
 
 import numpy as np
 
-from .fplinalg import FpVector, matmul_mod, power_sums, powers_mod
+from .fplinalg import FpVector, power_sums
 from .gates import (
     PhaseIdentityError,
     find_p3_code,
-    p3_phase_sum,
+    phase_identity_sweep,
     ternary_mod9_sum,
     third_level_gate,
 )
@@ -136,23 +136,12 @@ def criterion_6() -> dict:
         if p**k > 10**6:
             continue
         code = build_code(p, l, k, budget=10**4)
-        eps = code.epsilon.array
-        h1 = code.H1.array
-        count = p**k
         checked += 1
-        total_u += count
-        for start in range(0, count, 1 << 16):
-            stop = min(start + (1 << 16), count)
-            idx = np.arange(start, stop, dtype=np.int64)
-            coeffs = np.empty((stop - start, k), dtype=np.int64)
-            for r in range(k):
-                coeffs[:, r] = (idx // p**r) % p
-            lhs = power_sums(matmul_mod(coeffs, h1, p), 3, p)
-            rhs = matmul_mod(powers_mod(coeffs, 3, p), eps, p)
-            if (lhs != rhs).any():
-                at = int(np.nonzero(lhs != rhs)[0][0])
-                bad.append(f"p{p}-l{l}-k{k}: u index {start + at}")
-                break
+        total_u += p**k
+        try:
+            phase_identity_sweep(code.H1, p**k)
+        except PhaseIdentityError as exc:
+            bad.append(f"p{p}-l{l}-k{k}: {exc}")
     detail = f"{checked} codes, {total_u} logical vectors, both sides equal"
     if bad:
         detail = f"identity violations: {bad[:5]}"
@@ -189,9 +178,7 @@ def criterion_8() -> dict:
     code = find_p3_code()
     rows = code.H.nrows
     try:
-        for idx in range(3**rows):
-            u = FpVector(3, [(idx // 3**r) % 3 for r in range(rows)])
-            p3_phase_sum(code.H, u)
+        phase_identity_sweep(code.H, 3**rows)
     except PhaseIdentityError as exc:
         return _result(8, "qutrit machinery", False, f"identity failed: {exc}")
     report = verify_transversal_action(code, third_level_gate(3))

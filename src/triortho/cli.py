@@ -14,14 +14,8 @@ import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .fplinalg import DEFAULT_BUDGET, BudgetExceeded, FpVector, MatrixFormatError, parse_matrix
-from .gates import (
-    PhaseIdentityError,
-    cubic_phase_sum,
-    find_p3_code,
-    p3_phase_sum,
-    third_level_gate,
-)
+from .fplinalg import DEFAULT_BUDGET, BudgetExceeded, MatrixFormatError, parse_matrix
+from .gates import PhaseIdentityError, find_p3_code, phase_identity_sweep, third_level_gate
 from .overhead import (
     INTERPRETATION_NOTE,
     gamma,
@@ -110,12 +104,9 @@ def _identity_check(code: TriorthogonalCode) -> Tuple[bool, str]:
     p, m = code.p, code.H.nrows
     if p < 3:
         return True, "no cubic phase claim at p = 2"
-    check = p3_phase_sum if p == 3 else cubic_phase_sum
     count = min(p**m, PHASE_SAMPLE_CAP)
     try:
-        for idx in range(count):
-            u = FpVector(code.modulus, [(idx // p**r) % p for r in range(m)])
-            check(code.H, u)
+        phase_identity_sweep(code.H, count)
     except PhaseIdentityError as exc:
         return False, str(exc)
     return True, f"phase identity holds on {count} coefficient vectors"

@@ -11,7 +11,6 @@ Python integers beyond), and power sums reduce each term mod p before adding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -26,9 +25,7 @@ __all__ = [
     "BudgetExceeded",
     "MatrixFormatError",
     "is_prime",
-    "normalize",
     "inv_mod",
-    "pow_mod",
     "rref",
     "rref_with_transform",
     "kernel_basis",
@@ -36,8 +33,6 @@ __all__ = [
     "min_weight",
     "weight_distribution",
     "macwilliams_dual_distribution",
-    "krawtchouk",
-    "format_matrix",
     "parse_matrix",
 ]
 
@@ -96,21 +91,12 @@ class PrimeModulus:
 # field arithmetic on canonical representatives
 
 
-def normalize(x, p: int):
-    """Map any integer (including negatives) into [0, p)."""
-    return x % p
-
-
 def inv_mod(x: int, p: int) -> int:
     """Multiplicative inverse by Fermat: x^(p-2). Rejects x = 0 (mod p)."""
     x = x % p
     if x == 0:
         raise ZeroDivisionError(f"0 has no inverse mod {p}")
     return pow(x, p - 2, p)
-
-
-def pow_mod(x: int, e: int, p: int) -> int:
-    return pow(x % p, e, p)
 
 
 class FpVector:
@@ -518,12 +504,18 @@ def weight_distribution(M: FpMatrix, budget: int = DEFAULT_BUDGET) -> list:
     return counts.tolist()
 
 
-def krawtchouk(j: int, w: int, n: int, q: int) -> int:
-    """Krawtchouk polynomial K_j(w) over an alphabet of size q, exact integer."""
-    total = 0
-    for s in range(0, j + 1):
-        total += (-1) ** s * (q - 1) ** (j - s) * math.comb(w, s) * math.comb(n - w, j - s)
-    return total
+def _krawtchouk_column(w: int, n: int, q: int) -> list:
+    """[K_0(w), ..., K_n(w)], the Krawtchouk polynomials over an alphabet of size q, exact.
+
+    Three-term recurrence in j from K_0 = 1 and K_1 = (q-1)(n-w) - w:
+    (j+1) K_{j+1} = ((q-1)(n-j) + j - q w) K_j - (q-1)(n-j+1) K_{j-1};
+    every division is exact.
+    """
+    column = [1, (q - 1) * (n - w) - w]
+    for j in range(1, n):
+        step = ((q - 1) * (n - j) + j - q * w) * column[j] - (q - 1) * (n - j + 1) * column[j - 1]
+        column.append(step // (j + 1))
+    return column[: n + 1]
 
 
 def macwilliams_dual_distribution(dist: Sequence[int], n: int, q: int) -> list:
@@ -532,17 +524,19 @@ def macwilliams_dual_distribution(dist: Sequence[int], n: int, q: int) -> list:
     Exact integer MacWilliams transform; the division by |C| must come out
     exact and the result must be a nonnegative integer distribution summing
     to q^(n - dim C) — both are asserted, which doubles as a self-check of
-    the enumeration feeding this.
+    the enumeration feeding this.  One Krawtchouk column K_.(w) is built per
+    weight w that occurs.
     """
     size = sum(dist)
+    acc = [0] * (n + 1)
+    for w in range(n + 1):
+        aw = dist[w]
+        if aw:
+            for j, kj in enumerate(_krawtchouk_column(w, n, q)):
+                acc[j] += aw * kj
     out = []
-    for j in range(n + 1):
-        acc = 0
-        for w in range(n + 1):
-            aw = dist[w]
-            if aw:
-                acc += aw * krawtchouk(j, w, n, q)
-        quot, rem = divmod(acc, size)
+    for total in acc:
+        quot, rem = divmod(total, size)
         if rem != 0 or quot < 0:
             raise ArithmeticError("MacWilliams transform is not an integer distribution")
         out.append(quot)
@@ -552,17 +546,8 @@ def macwilliams_dual_distribution(dist: Sequence[int], n: int, q: int) -> list:
     return out
 
 
-# matrix text format: first line "p nrows ncols", then one row per line
-
-
-def format_matrix(M: FpMatrix) -> str:
-    lines = [f"{M.p} {M.nrows} {M.ncols}"]
-    for row in M.array:
-        lines.append(" ".join(str(int(x)) for x in row))
-    return "\n".join(lines) + "\n"
-
-
 def parse_matrix(text: str) -> FpMatrix:
+    """Matrix text: a first line "p nrows ncols", then one whitespace-separated row per line."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise MatrixFormatError("empty matrix text")

@@ -1,4 +1,4 @@
-"""Diagonal phase gates, their hierarchy level, and exact phase-sum identities.
+"""Diagonal phase gates, the level-3 gate, and exact phase-sum identities.
 
 The gate U_{m,a} multiplies |j> by exp(2 pi i j^a / p^m).  Applied
 transversally to an encoded state, the phase collected by a basis word f is
@@ -21,11 +21,11 @@ __all__ = [
     "PhaseExponent",
     "PhaseIdentityError",
     "gate_phase",
-    "hierarchy_level",
     "third_level_gate",
     "cubic_phase_sum",
     "ternary_mod9_sum",
     "p3_phase_sum",
+    "phase_identity_sweep",
     "find_p3_code",
 ]
 
@@ -90,11 +90,6 @@ def gate_phase(g: GateSpec, j: int) -> PhaseExponent:
     return PhaseExponent(pow(j, g.a, g.denominator), g.denominator)
 
 
-def hierarchy_level(g: GateSpec) -> int:
-    """Diagonal-gate level (p-1)(m-1) + a of U_{m,a}."""
-    return (g.p - 1) * (g.m - 1) + g.a
-
-
 def third_level_gate(p) -> GateSpec:
     """The canonical level-3 gate: U_{1,3} for p >= 5, U_{2,1} for p = 3."""
     mod = PrimeModulus.of(p)
@@ -103,6 +98,33 @@ def third_level_gate(p) -> GateSpec:
     if mod.p >= 5:
         return GateSpec(mod, 1, 3)
     raise ValueError("no third-level diagonal gate for p = 2 in this family")
+
+
+def _coefficients(start: int, stop: int, rows: int, p: int) -> np.ndarray:
+    """Coefficient vectors start..stop-1 in odometer order: u_r = (index // p^r) % p.
+
+    Digits come off by repeated divmod, so no power p^r is formed: p^r leaves
+    int64 long before the index does (from r = 9 at p = 211).
+    """
+    index = np.arange(start, stop, dtype=np.int64)
+    coeffs = np.empty((stop - start, rows), dtype=np.int64)
+    for r in range(rows):
+        index, coeffs[:, r] = np.divmod(index, p)
+    return coeffs
+
+
+def _cubic_numerators(A: np.ndarray, eps: np.ndarray, coeffs: np.ndarray, p: int) -> np.ndarray:
+    """sum_i (u·H)_i^3 mod p for each coefficient row u, checked against sum_a u_a^3 eps_a."""
+    lhs = power_sums(matmul_mod(coeffs, A, p), 3, p)
+    rhs = matmul_mod(powers_mod(coeffs, 3, p), eps, p)
+    bad = np.flatnonzero(lhs != rhs)
+    if bad.size:
+        i = bad[0]
+        raise PhaseIdentityError(
+            f"cubic phase identity fails for u={coeffs[i].tolist()}: "
+            f"sum f^3 = {lhs[i]} but sum u^3 eps = {rhs[i]} (mod {p})"
+        )
+    return lhs
 
 
 def cubic_phase_sum(H: FpMatrix, u: FpVector) -> PhaseExponent:
@@ -119,15 +141,8 @@ def cubic_phase_sum(H: FpMatrix, u: FpVector) -> PhaseExponent:
         raise ValueError("cubic identity applies to p >= 5; use p3_phase_sum for p = 3")
     if u.p != p or len(u) != H.nrows:
         raise ValueError(f"u must have one coefficient per row of H ({H.nrows})")
-    lhs = int(power_sums(matmul_mod(u.array, H.array, p), 3, p))
-    eps = power_sums(H.array, 3, p)
-    rhs = int(matmul_mod(powers_mod(u.array, 3, p), eps, p))
-    if lhs != rhs:
-        raise PhaseIdentityError(
-            f"cubic phase identity fails for u={u.tolist()}: "
-            f"sum f^3 = {lhs} but sum u^3 eps = {rhs} (mod {p})"
-        )
-    return PhaseExponent(lhs, p)
+    lhs = _cubic_numerators(H.array, power_sums(H.array, 3, p), u.array[None, :], p)
+    return PhaseExponent(int(lhs[0]), p)
 
 
 def ternary_mod9_sum(values) -> int:
@@ -180,6 +195,38 @@ def p3_phase_sum(H: FpMatrix, u: FpVector) -> PhaseExponent:
             f"sum f = {lhs} but sum u eps = {rhs} (mod 9)"
         )
     return PhaseExponent(lhs, 9)
+
+
+_SWEEP_ENTRIES = 1 << 15  # most entries of u·H held at once by the sweep
+
+
+def phase_identity_sweep(H: FpMatrix, count: int) -> np.ndarray:
+    """Exact phase numerators of the first `count` coefficient vectors of H.
+
+    The vectors come in odometer order, u_r = (index // p^r) % p, so with the
+    logical rows first the first p^k of them are the zero-padded logical
+    labels.  At p >= 5 the numerators are sum_i (u·H)_i^3 mod p, taken in
+    blocks of at most 2^15 entries of u·H; at p = 3 they are p3_phase_sum's,
+    mod 9, one vector at a time (3^rows stays small).  Raises
+    PhaseIdentityError at the first u where the identity fails.
+    """
+    p, rows = H.p, H.nrows
+    if not 0 <= count <= p**rows:
+        raise ValueError(f"count must lie in [0, {p}^{rows}], got {count}")
+    if p == 3:
+        return np.array(
+            [p3_phase_sum(H, FpVector(H.modulus, u)).numerator for u in _coefficients(0, count, rows, p)],
+            dtype=np.int64,
+        )
+    if p < 5:
+        raise ValueError(f"no cubic phase identity at p = {p}")
+    eps = power_sums(H.array, 3, p)
+    step = max(1, _SWEEP_ENTRIES // max(H.ncols, rows, 1))
+    out = np.empty(count, dtype=np.int64)
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        out[start:stop] = _cubic_numerators(H.array, eps, _coefficients(start, stop, rows, p), p)
+    return out
 
 
 def _p3_logical_motifs(max_len: int):
@@ -245,8 +292,11 @@ def find_p3_code(max_cols: int = 14, logical_rows: int = 2, stabilizer_rows: int
                 rows.append(row)
                 offset += len(v)
             H = FpMatrix.from_rows(3, rows)
-            if _p3_identity_exhaustive(H, rows_total):
-                best = (n, H)
+            try:
+                phase_identity_sweep(H, 3**rows_total)
+            except PhaseIdentityError:
+                continue
+            best = (n, H)
     if best is None:
         raise ValueError(f"no qutrit code with the mod-9 identity found within {max_cols} columns")
     return code_from_matrix(3, best[1])
@@ -260,13 +310,3 @@ def _choices(pool, count):
     for head in pool:
         for tail in _choices(pool, count - 1):
             yield (head,) + tail
-
-
-def _p3_identity_exhaustive(H: FpMatrix, rows_total: int) -> bool:
-    for idx in range(3**rows_total):
-        u = FpVector(H.modulus, [(idx // 3**r) % 3 for r in range(rows_total)])
-        try:
-            p3_phase_sum(H, u)
-        except PhaseIdentityError:
-            return False
-    return True

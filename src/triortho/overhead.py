@@ -11,22 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
-
-from .fplinalg import BudgetExceeded
-from .triortho_css import TriorthogonalCode, _distance_exact_z
 
 __all__ = [
     "INTERPRETATION_NOTE",
     "OverheadRecord",
     "gamma",
-    "family_params",
     "primes_up_to",
     "search_best_gamma",
     "gamma_scaling_check",
-    "error_suppression_order",
     "to_csv",
     "scaling_summary",
 ]
@@ -64,15 +59,6 @@ def gamma(n: int, k: int, d: int) -> float:
     if d < 2:
         raise ValueError(f"gamma is undefined for d < 2 (got d={d})")
     return math.log(n / k) / math.log(d)
-
-
-def family_params(p: int, l: int, k: int):
-    """(n, k, d) = (p-k, k, l-k) for a family member."""
-    if 3 * l > p + 1:
-        raise ValueError(f"3l <= p+1 violated: l={l}, p={p}")
-    if not 0 <= k <= l:
-        raise ValueError(f"need 0 <= k <= l, got k={k}")
-    return (p - k, k, l - k)
 
 
 def primes_up_to(n: int) -> List[int]:
@@ -133,20 +119,6 @@ def gamma_scaling_check(records: Sequence[OverheadRecord]):
             monotone_ok = False
         previous = running
     return (c_fit, monotone_ok)
-
-
-def error_suppression_order(code: TriorthogonalCode, budget: Optional[int] = None) -> int:
-    """Leading error-suppression exponent: the exact minimum weight of an
-    undetected Z-type logical, i.e. the code distance."""
-    if code.k == 0:
-        raise ValueError("code has no logical qudits")
-    if code.d_verified:
-        return code.d
-    if budget is not None:
-        d = _distance_exact_z(code.H0, code.H1, code.G, budget)
-        if d is not None:
-            return d
-    raise BudgetExceeded("distance was not enumerated within budget")
 
 
 def to_csv(records: Sequence[OverheadRecord]) -> str:

@@ -12,15 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fplinalg import FpMatrix, FpVector, PrimeModulus
-from .gates import GateSpec, cubic_phase_sum, gate_phase, p3_phase_sum
+from .fplinalg import FpVector, PrimeModulus, matmul_mod, powers_mod
+from .gates import GateSpec, _coefficients, gate_phase, phase_identity_sweep
 from .triortho_css import TriorthogonalCode, encoded_state_support
 
 __all__ = [
     "STATE_CAP",
     "ResourceCapError",
     "QuditState",
-    "basis_state",
     "encode",
     "apply_transversal_diagonal",
     "apply_x_string",
@@ -29,6 +28,7 @@ __all__ = [
 ]
 
 STATE_CAP = 2**24  # hard limit on p^n amplitudes
+_INNER_CHUNK = 1 << 16  # amplitudes per partial sum of an inner product
 
 
 class ResourceCapError(Exception):
@@ -67,8 +67,16 @@ class QuditState:
         return self.modulus.p
 
     def inner(self, other: "QuditState") -> complex:
-        """<self|other> (conjugates this state's amplitudes)."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
+        """<self|other> (conjugates this state's amplitudes).
+
+        Summed without BLAS, in fixed chunks taken in order, so the value does
+        not depend on the BLAS thread count and no full-length product is held.
+        """
+        a, b = self.amplitudes, other.amplitudes
+        total = 0j
+        for s in range(0, a.shape[0], _INNER_CHUNK):
+            total += complex((np.conj(a[s : s + _INNER_CHUNK]) * b[s : s + _INNER_CHUNK]).sum())
+        return total
 
 
 def _place_values(p: int, n: int) -> np.ndarray:
@@ -77,17 +85,6 @@ def _place_values(p: int, n: int) -> np.ndarray:
 
 def _digit(p: int, n: int, indices: np.ndarray, position: int) -> np.ndarray:
     return (indices // p ** (n - 1 - position)) % p
-
-
-def basis_state(p, n: int, digits: FpVector) -> QuditState:
-    """|digits>: unit amplitude at one basis label."""
-    mod = PrimeModulus.of(p)
-    if len(digits) != n or digits.p != mod.p:
-        raise ValueError(f"digits must be a length-{n} vector mod {mod.p}")
-    size = _check_cap(mod.p, n)
-    amp = np.zeros(size, dtype=np.complex128)
-    amp[int(digits.array @ _place_values(mod.p, n))] = 1.0
-    return QuditState(mod, n, amp)
 
 
 def encode(code: TriorthogonalCode, u: FpVector) -> QuditState:
@@ -145,26 +142,20 @@ def apply_z_string(state: QuditState, f: FpVector) -> QuditState:
     return QuditState(state.modulus, n, amp)
 
 
-def _predicted_numerators(code: TriorthogonalCode, g: GateSpec, u: FpVector):
-    """(claimed, exact) phase numerators for logical |u| under the transversal gate.
+def _claimed_numerators(code: TriorthogonalCode, g: GateSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Phase numerators each logical label u should collect, by the stored cubic weights.
 
-    The claim comes from the stored cubic weights; the exact value re-derives
-    both sides of the phase identity from H itself (and raises if they split).
+    U_{1,3} at p >= 5 gives sum_a u_a^3 eps_a mod p; U_{2,1} at p = 3 gives
+    sum_a u_a eps_a mod 9, eps_a the lifted sum of H1 row a.
     """
     p = code.p
-    padded = FpVector(code.modulus, list(u) + [0] * code.H0.nrows)
     if p >= 5:
         if (g.m, g.a) != (1, 3):
             raise ValueError(f"no logical-action prediction for {g.label()} at p = {p}")
-        claimed = sum(pow(int(ua), 3, p) * int(e) for ua, e in zip(u, code.epsilon)) % p
-        exact = cubic_phase_sum(code.H, padded).numerator
-        return claimed, exact
+        return matmul_mod(powers_mod(coeffs, 3, p), code.epsilon.array, p)
     if (g.m, g.a) != (2, 1):
         raise ValueError(f"no logical-action prediction for {g.label()} at p = 3")
-    eps9 = [int(code.H1.array[a].sum()) % 9 for a in range(code.k)]
-    claimed = sum(int(ua) * e for ua, e in zip(u, eps9)) % 9
-    exact = p3_phase_sum(code.H, padded).numerator
-    return claimed, exact
+    return coeffs @ (code.H1.array.sum(axis=1) % 9) % 9
 
 
 def verify_transversal_action(code: TriorthogonalCode, g: GateSpec, tol: float = 1e-9) -> dict:
@@ -173,18 +164,22 @@ def verify_transversal_action(code: TriorthogonalCode, g: GateSpec, tol: float =
     For each u in F_p^k the simulated U^(tensor n) |u_enc> is compared with
     the predicted global phase on |u_enc>; deviations are |1 - <s2|s1>|.
     The prediction is also checked against the exact phase algebra, so a
-    wrong stored epsilon or a failing identity lands in `failures` too.
+    wrong stored epsilon lands in `failures` too, and a failing identity
+    raises PhaseIdentityError.
     """
     if g.p != code.p:
         raise ValueError("gate and code moduli disagree")
     _check_cap(code.p, code.n)
-    p = code.p
+    count = code.p**code.k
+    coeffs = _coefficients(0, count, code.k, code.p)
+    claimed_all = _claimed_numerators(code, g, coeffs)
+    # the first p^k coefficient vectors of H = [H1; H0] are the logical labels, zero-padded
+    exact_all = phase_identity_sweep(code.H, count)
     denom = g.denominator
     max_dev = 0.0
     failures = []
-    for idx in range(p**code.k):
-        u = FpVector(code.modulus, [(idx // p**r) % p for r in range(code.k)])
-        claimed, exact = _predicted_numerators(code, g, u)
+    for row, claimed, exact in zip(coeffs, claimed_all.tolist(), exact_all.tolist()):
+        u = FpVector(code.modulus, row)
         base = encode(code, u)
         s1 = apply_transversal_diagonal(base, g)
         predicted = np.exp(2j * np.pi * claimed / denom)

@@ -1,11 +1,10 @@
-"""Evaluation (Reed-Solomon) codes over F_p, their duals, and derived codes.
+"""Evaluation (Reed-Solomon) codes over F_p and the codes derived from them.
 
 RS_l is the span of the evaluations of 1, x, ..., x^(l-1) at the points
-0, 1, ..., p-1, in that fixed order.  Shortening at a position set A keeps
-the subcode vanishing on A and drops those coordinates; puncturing drops
-the coordinates outright.  Polynomials live in F_p[x]/(x^p - x), so every
-code maps onto vectors of length p and star products mirror polynomial
-products.
+0, 1, ..., p-1, in that fixed order; its dual is RS_(p-l).  Shortening at a
+position set A keeps the subcode vanishing on A and drops those coordinates;
+puncturing drops the coordinates outright.  Evaluation is a ring map from
+F_p[x]/(x^p - x), so star products of codewords mirror polynomial products.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from .fplinalg import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     FpMatrix,
-    FpVector,
     PrimeModulus,
     kernel_basis,
     macwilliams_dual_distribution,
@@ -29,102 +27,14 @@ from .fplinalg import (
 )
 
 __all__ = [
-    "Polynomial",
     "RsCodeSpec",
-    "ev",
     "rs_generator",
-    "rs_dual",
     "shorten",
     "puncture",
     "rs_triply_even",
     "prs_min_distance",
     "audit_distance_formula",
 ]
-
-
-def _fold_exponent(e: int, p: int) -> int:
-    # x^p = x in F_p[x]/(x^p - x); constants are untouched
-    if e < p:
-        return e
-    return (e - 1) % (p - 1) + 1
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Dense polynomial with degree < p; index i holds the coefficient of x^i."""
-
-    modulus: PrimeModulus
-    coeffs: Tuple[int, ...]
-
-    def __post_init__(self):
-        p = self.modulus.p
-        if len(self.coeffs) != p:
-            raise ValueError(f"coefficient vector must have length p={p}")
-        if any(c < 0 or c >= p for c in self.coeffs):
-            raise ValueError("coefficients must be canonical representatives")
-
-    @classmethod
-    def from_coeffs(cls, modulus, coeffs) -> "Polynomial":
-        mod = PrimeModulus.of(modulus)
-        p = mod.p
-        dense = [0] * p
-        for e, c in enumerate(coeffs):
-            dense[_fold_exponent(e, p)] = (dense[_fold_exponent(e, p)] + c) % p
-        return cls(mod, tuple(dense))
-
-    @classmethod
-    def monomial(cls, modulus, e: int, c: int = 1) -> "Polynomial":
-        mod = PrimeModulus.of(modulus)
-        dense = [0] * mod.p
-        dense[_fold_exponent(e, mod.p)] = c % mod.p
-        return cls(mod, tuple(dense))
-
-    @property
-    def p(self) -> int:
-        return self.modulus.p
-
-    def degree(self) -> int:
-        for e in range(self.p - 1, -1, -1):
-            if self.coeffs[e]:
-                return e
-        return -1  # zero polynomial
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.p != other.p:
-            raise ValueError("modulus mismatch")
-        p = self.p
-        dense = [0] * p
-        for e1, c1 in enumerate(self.coeffs):
-            if not c1:
-                continue
-            for e2, c2 in enumerate(other.coeffs):
-                if not c2:
-                    continue
-                e = _fold_exponent(e1 + e2, p)
-                dense[e] = (dense[e] + c1 * c2) % p
-        return Polynomial(self.modulus, tuple(dense))
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if self.p != other.p:
-            raise ValueError("modulus mismatch")
-        return Polynomial(self.modulus, tuple((a + b) % self.p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def evaluate(self, x: int) -> int:
-        p = self.p
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % p
-        return acc
-
-
-def ev(poly: Polynomial) -> FpVector:
-    """Evaluation vector (poly(0), poly(1), ..., poly(p-1))."""
-    p = poly.p
-    points = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in reversed(poly.coeffs):
-        acc = (acc * points + c) % p
-    return FpVector(poly.modulus, acc)
 
 
 def rs_generator(p, l: int) -> FpMatrix:
@@ -139,14 +49,6 @@ def rs_generator(p, l: int) -> FpMatrix:
     for j in range(1, l):
         rows[j] = rows[j - 1] * points % pv
     return FpMatrix(mod, rows)
-
-
-def rs_dual(p, l: int) -> FpMatrix:
-    """Generator of the dual code: RS_l-perp equals RS_(p-l)."""
-    mod = PrimeModulus.of(p)
-    if not 1 <= l <= mod.p - 1:
-        raise ValueError(f"need 1 <= l <= p-1, got l={l}, p={mod.p}")
-    return rs_generator(mod, mod.p - l)
 
 
 @dataclass(frozen=True)
@@ -185,28 +87,15 @@ class RsCodeSpec:
         return tuple(u for u in range(self.p) if u not in aset)
 
 
-def _dimension_for(spec: RsCodeSpec, which: str) -> int:
-    if which == "l":
-        return spec.l
-    if which == "p-l":
-        return spec.p - spec.l
-    raise ValueError(f"which must be 'l' or 'p-l', got {which!r}")
+def puncture(spec: RsCodeSpec) -> FpMatrix:
+    """Generator of PRS_(p-l),A: the RS_(p-l) generator with the A columns deleted."""
+    gen = rs_generator(spec.modulus, spec.p - spec.l)
+    return FpMatrix(spec.modulus, gen.array[:, list(spec.complement())])
 
 
-def puncture(spec: RsCodeSpec, which: str = "l") -> FpMatrix:
-    """Generator of PRS: rows of the RS generator with the A columns deleted."""
-    dim = _dimension_for(spec, which)
-    gen = rs_generator(spec.modulus, dim)
-    keep = list(spec.complement())
-    return FpMatrix(spec.modulus, gen.array[:, keep])
-
-
-def shorten(spec: RsCodeSpec, which: str = "p-l") -> FpMatrix:
-    """Generator of SRS: the subcode vanishing on A, restricted to the complement."""
-    dim = _dimension_for(spec, which)
-    if spec.k > dim:
-        raise ValueError(f"need |A| <= dimension, got {spec.k} > {dim}")
-    gen = rs_generator(spec.modulus, dim)
+def shorten(spec: RsCodeSpec) -> FpMatrix:
+    """Generator of SRS_l,A: the subcode of RS_l vanishing on A, restricted to the complement."""
+    gen = rs_generator(spec.modulus, spec.l)
     if spec.k == 0:
         return gen
     # combinations c with c @ gen[:, A] = 0 give the codewords vanishing on A
@@ -249,10 +138,10 @@ def prs_min_distance(spec: RsCodeSpec, budget: int = DEFAULT_BUDGET) -> int:
             f"(direct {cost_direct}, dual {cost_dual})"
         )
     if cost_direct <= cost_dual:
-        return min_weight(puncture(spec, "p-l"), budget=budget)
-    dual_gen = shorten(spec, "l")
+        return min_weight(puncture(spec), budget=budget)
+    dual_gen = shorten(spec)
     # the shortened code must really be the dual of the punctured one
-    prod = matmul_mod(puncture(spec, "p-l").array, dual_gen.array.T, p)
+    prod = matmul_mod(puncture(spec).array, dual_gen.array.T, p)
     if prod.any() or dual_gen.nrows != dim_dual:
         raise ArithmeticError("shortened code is not the dual of the punctured code")
     dist = weight_distribution(dual_gen, budget=budget)

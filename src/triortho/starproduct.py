@@ -9,29 +9,17 @@ exactly on repeated indices and are implemented separately, never conflated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .fplinalg import (
-    FpMatrix,
-    FpVector,
-    _span_basis,
-    _SpanEnumerator,
-    in_rowspan,
-    kernel_basis,
-    matmul_mod,
-    power_sums,
-)
+from .fplinalg import FpMatrix, FpVector, matmul_mod, power_sums
 
 __all__ = [
     "StarWitness",
-    "star",
     "power_weight",
-    "triple_weight",
     "check_triorthogonal",
     "check_triply_even",
-    "triply_even_exhaustive",
 ]
 
 
@@ -59,24 +47,9 @@ class StarWitness:
             raise ValueError("witness value must be nonzero")
 
 
-def star(u: FpVector, v: FpVector, *more: FpVector) -> FpVector:
-    """Componentwise product mod p, folded over two or more vectors."""
-    out = u.array
-    for w in (v,) + more:
-        if w.p != u.p or len(w) != len(u):
-            raise ValueError("length or modulus mismatch in star product")
-        out = out * w.array % u.p
-    return FpVector(u.modulus, out)
-
-
 def power_weight(u: FpVector, t: int) -> int:
     """Sum of t-th powers of the entries, mod p."""
     return int(power_sums(u.array, t, u.p))
-
-
-def triple_weight(u: FpVector, v: FpVector, w: FpVector) -> int:
-    """|u * v * w| — the summed componentwise triple product, mod p."""
-    return int(star(u, v, w).array.sum() % u.p)
 
 
 def check_triorthogonal(H: FpMatrix):
@@ -105,22 +78,12 @@ def check_triorthogonal(H: FpMatrix):
     return True, None
 
 
-def check_triply_even(G: FpMatrix, mode: str = "basis_triples"):
-    """Is rowspan(G) triply even?  Two independent routes, always in agreement.
+def check_triply_even(G: FpMatrix):
+    """Is rowspan(G) triply even?  Returns (flag, witness).
 
-    basis_triples sums g^a * g^b * g^c over all non-decreasing index triples
-    (sufficient by trilinearity of the triple weight); dual_containment tests
-    g^a * g^b against the kernel span of G for a <= b (the V*V inside V-perp
-    characterization).  Returns (flag, witness).
+    Sums g^a * g^b * g^c over all non-decreasing index triples of the rows,
+    which suffices by trilinearity of the triple weight.
     """
-    if mode == "basis_triples":
-        return _triply_even_basis_triples(G)
-    if mode == "dual_containment":
-        return _triply_even_dual_containment(G)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _triply_even_basis_triples(G: FpMatrix):
     p = G.p
     A = G.array
     m = G.nrows
@@ -132,41 +95,3 @@ def _triply_even_basis_triples(G: FpMatrix):
                 if val:
                     return False, StarWitness("triple", (a, b, b + off), int(val))
     return True, None
-
-
-def _triply_even_dual_containment(G: FpMatrix):
-    p = G.p
-    K = kernel_basis(G)
-    m = G.nrows
-    for a in range(m):
-        for b in range(a, m):
-            prod = star(G.row(a), G.row(b))
-            ok, _ = in_rowspan(K, prod)
-            if not ok:
-                # locate the first row certifying non-membership
-                sums = matmul_mod(G.array, prod.array[:, None], p).ravel()
-                c = int(np.nonzero(sums)[0][0])
-                idx = tuple(sorted((a, b, c)))
-                return False, StarWitness("triple", idx, int(sums[c]))
-    return True, None
-
-
-def triply_even_exhaustive(G: FpMatrix, max_words: int = 1000) -> bool:
-    """Direct oracle: every codeword triple (with repetition) has zero weight.
-
-    Only viable for p^rank <= max_words; used to validate the basis check.
-    """
-    p = G.p
-    basis, _ = _span_basis(G)
-    count = p ** basis.shape[0]
-    if count > max_words:
-        raise ValueError(f"span too large for the exhaustive oracle ({count} words)")
-    # enumerate the whole span, then check all pair-star x codeword sums
-    words = np.vstack([w for _, w in _SpanEnumerator(basis, p).blocks()])
-    for i in range(count):
-        # triple weight is symmetric, so pairs (i, j >= i) against all words suffice
-        pair_stars = words[i:] * words[i] % p
-        sums = matmul_mod(pair_stars, words.T, p)
-        if np.any(sums):
-            return False
-    return True

@@ -1,66 +1,68 @@
 """Acceptance gate: one test and one printed pass/fail line per criterion.
 
-Criteria whose pinned reference values disagree with exact enumeration are
-left to fail as written; their output shows the enumerated truth.
+The criteria run once per session (the acceptance_results fixture); each
+test asserts on its own entry.  Criteria whose pinned reference values
+disagree with exact enumeration are left to fail as written; their output
+shows the enumerated truth.
 """
 
-from triortho import acceptance
 from triortho.acceptance import format_report
 
 
-def _run(number: int) -> dict:
-    result = getattr(acceptance, f"criterion_{number}")()
+def _entry(results, number: int) -> dict:
+    result = results[number - 1]
+    assert result["criterion"] == number
     print(format_report([result]), end="")
     return result
 
 
-def test_criterion_01_gamma_reproduction():
-    result = _run(1)
+def test_criterion_01_gamma_reproduction(acceptance_results):
+    result = _entry(acceptance_results, 1)
     assert result["passed"], result["detail"]
 
 
-def test_criterion_02_construction_reproduction():
-    result = _run(2)
+def test_criterion_02_construction_reproduction(acceptance_results):
+    result = _entry(acceptance_results, 2)
     assert result["passed"], result["detail"]
 
 
-def test_criterion_03_sub_reference_point():
-    result = _run(3)
+def test_criterion_03_sub_reference_point(acceptance_results):
+    result = _entry(acceptance_results, 3)
     assert result["passed"], result["detail"]
 
 
-def test_criterion_04_triorthogonality_suite():
-    result = _run(4)
+def test_criterion_04_triorthogonality_suite(acceptance_results):
+    result = _entry(acceptance_results, 4)
     assert result["passed"], result["detail"]
 
 
-def test_criterion_05_triply_even_agreement():
-    result = _run(5)
+def test_criterion_05_triply_even_agreement(acceptance_results):
+    result = _entry(acceptance_results, 5)
     assert result["passed"], result["detail"]
 
 
-def test_criterion_06_cubic_identity_sweep():
-    result = _run(6)
+def test_criterion_06_cubic_identity_sweep(acceptance_results):
+    result = _entry(acceptance_results, 6)
     assert result["passed"], result["detail"]
 
 
-def test_criterion_07_end_to_end_simulation():
-    result = _run(7)
+def test_criterion_07_end_to_end_simulation(acceptance_results):
+    result = _entry(acceptance_results, 7)
     assert result["passed"], result["detail"]
 
 
-def test_criterion_08_qutrit_machinery():
-    result = _run(8)
+def test_criterion_08_qutrit_machinery(acceptance_results):
+    result = _entry(acceptance_results, 8)
     assert result["passed"], result["detail"]
 
 
-def test_criterion_09_gamma_scaling():
-    result = _run(9)
+def test_criterion_09_gamma_scaling(acceptance_results):
+    result = _entry(acceptance_results, 9)
     assert result["passed"], result["detail"]
 
 
-def test_criterion_10_distance_audit():
-    result = _run(10)
+def test_criterion_10_distance_audit(acceptance_results):
+    result = _entry(acceptance_results, 10)
     for entry in result["entries"]:
         if entry["skipped"]:
             print(f"  {entry['name']}: skipped (enumeration over budget)")

@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from triortho.cli import main
-from triortho.fplinalg import format_matrix
 from triortho.overhead import INTERPRETATION_NOTE
 from triortho.triortho_css import build_code
 
@@ -131,7 +134,8 @@ def test_verify_unreadable_inputs(capsys, tmp_path):
 
 def test_verify_matrix_file(capsys, tmp_path):
     target = tmp_path / "H.txt"
-    target.write_text(format_matrix(build_code(7, 2, 1).H))
+    H = build_code(7, 2, 1).H
+    target.write_text("\n".join([f"7 {H.nrows} {H.ncols}"] + [" ".join(map(str, row)) for row in H.tolist()]))
     exit_code, out, _ = run(capsys, "verify", "--matrix", str(target))
     assert exit_code == 0
     assert json.loads(out)["passed"] is True
@@ -164,6 +168,20 @@ def test_simulate_small_code(capsys):
     assert report["gate"] == "U_{1,3}"
     assert report["max_deviation"] < 1e-9
     assert report["failures"] == []
+
+
+def test_simulate_output_is_independent_of_blas_threads():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "triortho.cli", "simulate", "--p", "7", "--l", "2", "--k", "1"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["failures"] == []
 
 
 def test_simulate_cap_exceeded(capsys):
@@ -248,7 +266,9 @@ def test_entry_raises_system_exit(capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_selftest_reports_every_criterion(capsys):
+def test_selftest_reports_every_criterion(capsys, monkeypatch, acceptance_results):
+    # the criteria run once per session (conftest); selftest formats and grades them
+    monkeypatch.setattr("triortho.acceptance.run_all", lambda: acceptance_results)
     exit_code, out, _ = run(capsys, "selftest")
     lines = [line for line in out.splitlines() if line.startswith("CRITERION")]
     assert len(lines) == 10

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,21 +10,18 @@ from triortho.fplinalg import (
     FpVector,
     MatrixFormatError,
     PrimeModulus,
-    format_matrix,
     in_rowspan,
     inv_mod,
     is_prime,
     kernel_basis,
-    krawtchouk,
     macwilliams_dual_distribution,
     min_weight,
-    normalize,
     parse_matrix,
-    pow_mod,
     rref,
     rref_with_transform,
     weight_distribution,
 )
+from triortho.fplinalg import _krawtchouk_column
 
 
 def vandermonde(p, l):
@@ -54,8 +52,6 @@ def test_prime_modulus_validation():
 
 def test_field_arith_examples():
     assert inv_mod(2, 5) == 3
-    assert normalize(-1, 7) == 6
-    assert pow_mod(3, 3, 5) == 2
     with pytest.raises(ZeroDivisionError):
         inv_mod(0, 5)
     with pytest.raises(ZeroDivisionError):
@@ -223,14 +219,26 @@ def test_weight_distribution_oracle_and_macwilliams():
         assert dual_mw == dual_direct
 
 
+def krawtchouk(j, w, n, q):
+    # the binomial sum K_j(w) = sum_s (-1)^s (q-1)^(j-s) C(w, s) C(n-w, j-s)
+    return sum((-1) ** s * (q - 1) ** (j - s) * math.comb(w, s) * math.comb(n - w, j - s) for s in range(j + 1))
+
+
 def test_krawtchouk_and_transform_consistency():
-    # K_0 = 1, K_1(w) = (q-1)(n-w) - w
-    for q, n in ((3, 5), (5, 7)):
-        for w in range(n + 1):
-            assert krawtchouk(0, w, n, q) == 1
-            assert krawtchouk(1, w, n, q) == (q - 1) * (n - w) - w
+    # the recurrence columns equal the binomial sums, K_0 = 1 and K_1(w) = (q-1)(n-w) - w among them
+    for q in (2, 3, 7, 13):
+        for n in range(14):
+            for w in range(n + 1):
+                column = _krawtchouk_column(w, n, q)
+                assert column == [krawtchouk(j, w, n, q) for j in range(n + 1)], (q, n, w)
+                assert column[0] == 1
     with pytest.raises(ArithmeticError):
         macwilliams_dual_distribution([1, 0, 0, 5], 3, 3)
+
+
+def format_matrix(M):
+    # the text form parse_matrix reads: "p nrows ncols", then one row per line
+    return "\n".join([f"{M.p} {M.nrows} {M.ncols}"] + [" ".join(map(str, row)) for row in M.tolist()]) + "\n"
 
 
 def test_matrix_text_roundtrip_and_errors():

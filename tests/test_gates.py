@@ -1,8 +1,13 @@
-"""Phase gates, hierarchy levels, and the exact phase-sum identities."""
+"""Phase gates, the level-3 gate, and the exact phase-sum identities."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from triortho import gates
 from triortho.fplinalg import FpMatrix, FpVector, is_prime
 from triortho.gates import (
     GateSpec,
@@ -11,8 +16,8 @@ from triortho.gates import (
     cubic_phase_sum,
     find_p3_code,
     gate_phase,
-    hierarchy_level,
     p3_phase_sum,
+    phase_identity_sweep,
     ternary_mod9_sum,
     third_level_gate,
 )
@@ -52,9 +57,13 @@ def test_gate_phase_examples():
 
 
 def test_hierarchy_level():
-    assert hierarchy_level(GateSpec.make(5, 1, 3)) == 3
-    assert hierarchy_level(GateSpec.make(3, 2, 1)) == 3
-    assert hierarchy_level(GateSpec.make(7, 1, 1)) == 1
+    # U_{m,a} sits at level (p-1)(m-1) + a of the Clifford hierarchy
+    def level(g):
+        return (g.p - 1) * (g.m - 1) + g.a
+
+    assert level(GateSpec.make(5, 1, 3)) == 3
+    assert level(GateSpec.make(3, 2, 1)) == 3
+    assert level(GateSpec.make(7, 1, 1)) == 1
 
 
 def test_third_level_gate():
@@ -62,9 +71,11 @@ def test_third_level_gate():
     assert (g3.m, g3.a) == (2, 1)
     g5 = third_level_gate(5)
     assert (g5.m, g5.a) == (1, 3)
+    # level (p-1)(m-1) + a = 3 for every odd prime
     for p in range(3, 101):
         if is_prime(p):
-            assert hierarchy_level(third_level_gate(p)) == 3
+            g = third_level_gate(p)
+            assert (p - 1) * (g.m - 1) + g.a == 3
     with pytest.raises(ValueError):
         third_level_gate(2)
 
@@ -178,3 +189,97 @@ def test_find_p3_code_needs_room():
         find_p3_code(max_cols=7)
     with pytest.raises(ValueError):
         find_p3_code(logical_rows=0)
+
+
+def odometer(count, rows, p):
+    # u_r = (index // p^r) % p in Python integers, so no power can overflow
+    return [[(index // p**r) % p for r in range(rows)] for index in range(count)]
+
+
+def disjoint_rows(rng, p, rows, ncols):
+    # rows on disjoint supports: every cross term of the cubic identity vanishes
+    owner = rng.integers(0, rows + 1, size=ncols)  # owner == rows leaves the column empty
+    values = rng.integers(1, p, size=ncols, dtype=np.int64)
+    return np.where(np.arange(rows)[:, None] == owner, values, 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.sampled_from([5, 13, 2**31 - 1]),
+    rows=st.integers(1, 4),
+    ncols=st.integers(4, 40),
+    step=st.integers(1, 16),
+    extra=st.integers(0, 40),
+    planted=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sweep_matches_per_vector_cubic_phase_sum(p, rows, ncols, step, extra, planted, seed):
+    rng = np.random.default_rng(seed)
+    A = disjoint_rows(rng, p, rows, ncols)
+    if planted and rows > 1:
+        # one entry shared by rows 0 and 1 leaves sum h_0^2 h_1 nonzero, so the identity fails
+        A[:2, 0] = rng.integers(1, p, size=2)
+    H = FpMatrix(p, A)
+    count = min(p**rows, 3 * step + extra)  # several blocks of `step` vectors when p^rows allows
+    expected, failure = [], None
+    for u in odometer(count, rows, p):
+        try:
+            expected.append(cubic_phase_sum(H, FpVector(p, u)).numerator)
+        except PhaseIdentityError as exc:
+            failure = str(exc)
+            break
+    with mock.patch.object(gates, "_SWEEP_ENTRIES", step * ncols):
+        if failure is None:
+            assert phase_identity_sweep(H, count).tolist() == expected
+        else:
+            with pytest.raises(PhaseIdentityError) as excinfo:
+                phase_identity_sweep(H, count)
+            assert str(excinfo.value) == failure
+
+
+def test_sweep_digits_stay_exact_past_int64_powers():
+    # 211^9 > 2^63: digits must come off by divmod, not by dividing by p^r
+    p, rows = 211, 12
+    start = p**8 + 3 * p**7 + 17  # below 2^63, with a nonzero digit 8
+    got = gates._coefficients(start, start + 50, rows, p)
+    assert got.tolist() == [[(i // p**r) % p for r in range(rows)] for i in range(start, start + 50)]
+    H = FpMatrix(p, disjoint_rows(np.random.default_rng(3), p, rows, 40))
+    eps = [sum(pow(int(x), 3, p) for x in row) % p for row in H.tolist()]
+    numerators = phase_identity_sweep(H, 500)
+    assert numerators.tolist() == [
+        sum(pow(ua, 3, p) * e for ua, e in zip(u, eps)) % p for u in odometer(500, rows, p)
+    ]
+
+
+def test_sweep_counterexample_raises_where_cubic_phase_sum_does():
+    # the F_7 matrix is tri-orthogonal, yet the identity fails first at u = [1, 1]
+    H = FpMatrix.from_rows(7, [[1, 1, 2], [2, 4, 4]])
+    with pytest.raises(PhaseIdentityError) as swept:
+        phase_identity_sweep(H, 49)
+    with pytest.raises(PhaseIdentityError) as single:
+        cubic_phase_sum(H, FpVector(7, [1, 1]))
+    assert str(swept.value) == str(single.value)
+    assert str(swept.value) == "cubic phase identity fails for u=[1, 1]: sum f^3 = 4 but sum u^3 eps = 6 (mod 7)"
+    # the vectors before it all pass
+    assert phase_identity_sweep(H, 8).tolist() == [cubic_phase_sum(H, FpVector(7, u)).numerator for u in odometer(8, 2, 7)]
+
+
+def test_sweep_at_p3_agrees_with_p3_phase_sum():
+    code = find_p3_code()
+    rows = code.H.nrows
+    expected = [p3_phase_sum(code.H, FpVector(3, u)).numerator for u in odometer(3**rows, rows, 3)]
+    assert phase_identity_sweep(code.H, 3**rows).tolist() == expected
+    with pytest.raises(PhaseIdentityError) as swept:
+        phase_identity_sweep(FpMatrix.from_rows(3, [[2]]), 3)
+    with pytest.raises(PhaseIdentityError) as single:
+        p3_phase_sum(FpMatrix.from_rows(3, [[2]]), FpVector(3, [2]))
+    assert str(swept.value) == str(single.value)
+
+
+def test_sweep_input_validation():
+    H = FpMatrix.from_rows(7, [[1, 1, 2], [2, 4, 4]])
+    with pytest.raises(ValueError):
+        phase_identity_sweep(H, 50)  # only 7^2 coefficient vectors
+    with pytest.raises(ValueError):
+        phase_identity_sweep(FpMatrix.from_rows(2, [[1, 1]]), 1)
+    assert phase_identity_sweep(H, 0).tolist() == []

@@ -1,15 +1,12 @@
-"""Overhead exponent, prime search, scaling check, suppression order."""
+"""Overhead exponent, prime search and scaling check."""
 
 import math
 
 import pytest
 
-from triortho.fplinalg import BudgetExceeded, FpMatrix
 from triortho.overhead import (
     INTERPRETATION_NOTE,
     OverheadRecord,
-    error_suppression_order,
-    family_params,
     gamma,
     gamma_scaling_check,
     primes_up_to,
@@ -17,7 +14,7 @@ from triortho.overhead import (
     search_best_gamma,
     to_csv,
 )
-from triortho.triortho_css import build_code, code_from_matrix, validate_code
+from triortho.triortho_css import build_code, validate_code
 
 
 def test_gamma_examples():
@@ -41,16 +38,6 @@ def test_gamma_preconditions():
 def test_gamma_base_invariance():
     for n, k, d in ((35, 6, 6), (83, 14, 15), (74, 23, 9)):
         assert gamma(n, k, d) == pytest.approx(math.log10(n / k) / math.log10(d), abs=1e-12)
-
-
-def test_family_params():
-    assert family_params(41, 12, 6) == (35, 6, 6)
-    assert family_params(97, 29, 14) == (83, 14, 15)
-    assert family_params(13, 4, 1) == (12, 1, 3)
-    with pytest.raises(ValueError):
-        family_params(7, 3, 1)  # 9 > 8
-    with pytest.raises(ValueError):
-        family_params(41, 12, 13)
 
 
 def test_overhead_record_validation():
@@ -127,23 +114,6 @@ def test_search_spot_check_codes():
         code = build_code(r.p, r.l, r.k, budget=10**4)
         assert code.n == r.n and code.k == r.k
         assert validate_code(code)["passed"], r
-
-
-def test_error_suppression_order():
-    assert error_suppression_order(build_code(13, 4, 1)) == 4
-    assert error_suppression_order(build_code(7, 2, 1)) == 2
-    big = build_code(41, 12, 6)
-    with pytest.raises(BudgetExceeded):
-        error_suppression_order(big)
-    with pytest.raises(BudgetExceeded):
-        error_suppression_order(big, budget=10**4)
-
-
-def test_error_suppression_order_needs_logicals():
-    stabilizer_only = code_from_matrix(7, FpMatrix.from_rows(7, [[1, 2, 3, 4, 5, 6]]))
-    assert stabilizer_only.k == 0
-    with pytest.raises(ValueError):
-        error_suppression_order(stabilizer_only)
 
 
 def test_to_csv():

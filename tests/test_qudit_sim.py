@@ -1,6 +1,7 @@
 """State-vector simulation and end-to-end transversal-gate verification."""
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -14,7 +15,6 @@ from triortho.qudit_sim import (
     apply_transversal_diagonal,
     apply_x_string,
     apply_z_string,
-    basis_state,
     encode,
     verify_transversal_action,
 )
@@ -27,19 +27,34 @@ def random_state(rng, p, n):
     return QuditState(PrimeModulus(p), n, amp)
 
 
+def basis_state(p, n, digits):
+    # |digits>: unit amplitude at the base-p label, qudit 0 the most significant digit
+    amp = np.zeros(p**n, dtype=np.complex128)
+    amp[functools.reduce(lambda label, d: label * p + d, digits, 0)] = 1.0
+    return QuditState(PrimeModulus(p), n, amp)
+
+
 def test_basis_state_indexing():
-    s = basis_state(3, 1, FpVector(3, [2]))
+    # X shifts of |0...0> land on the label whose base-p digits are the shift
+    s = apply_x_string(basis_state(3, 1, [0]), FpVector(3, [2]))
     assert s.amplitudes[2] == 1.0 and np.count_nonzero(s.amplitudes) == 1
-    s = basis_state(5, 2, FpVector(5, [1, 2]))
+    s = apply_x_string(basis_state(5, 2, [0, 0]), FpVector(5, [1, 2]))
     assert s.amplitudes[7] == 1.0  # qudit 0 is the most significant digit
-    assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
+    assert s.amplitudes.tolist() == basis_state(5, 2, [1, 2]).amplitudes.tolist()
     with pytest.raises(ValueError):
-        basis_state(5, 2, FpVector(5, [1]))
+        apply_x_string(s, FpVector(5, [1]))
 
 
 def test_state_cap():
     with pytest.raises(ResourceCapError):
-        basis_state(5, 11, FpVector(5, [0] * 11))  # 5^11 > 2^24
+        QuditState(PrimeModulus(5), 11, np.zeros(1))  # 5^11 > 2^24, refused before any amplitude is read
+
+
+def test_inner_matches_vdot_across_chunks():
+    rng = np.random.default_rng(12)
+    a, b = random_state(rng, 3, 11), random_state(rng, 3, 11)  # 3^11 amplitudes: three chunks
+    assert abs(a.inner(b) - np.vdot(a.amplitudes, b.amplitudes)) < 1e-12
+    assert abs(a.inner(a) - 1.0) < 1e-12
 
 
 def test_state_norm_validation():
@@ -82,9 +97,9 @@ def test_encode_stabilizer_eigenstate():
 
 def test_apply_transversal_diagonal_single_qudit():
     g = third_level_gate(5)
-    s = apply_transversal_diagonal(basis_state(5, 1, FpVector(5, [2])), g)
+    s = apply_transversal_diagonal(basis_state(5, 1, [2]), g)
     assert abs(s.amplitudes[2] - np.exp(2j * np.pi * 3 / 5)) < 1e-12
-    zero = basis_state(5, 1, FpVector(5, [0]))
+    zero = basis_state(5, 1, [0])
     assert np.allclose(apply_transversal_diagonal(zero, g).amplitudes, zero.amplitudes)
 
 

@@ -1,5 +1,7 @@
 """Evaluation-code construction, duality, shortening/puncturing, distances."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,18 +15,15 @@ from triortho.fplinalg import (
     rref,
 )
 from triortho.reed_solomon import (
-    Polynomial,
     RsCodeSpec,
     audit_distance_formula,
-    ev,
     prs_min_distance,
     puncture,
-    rs_dual,
     rs_generator,
     rs_triply_even,
     shorten,
 )
-from triortho.starproduct import check_triply_even, star
+from triortho.starproduct import check_triply_even
 
 
 def rowspace_equal(A: FpMatrix, B: FpMatrix) -> bool:
@@ -34,40 +33,28 @@ def rowspace_equal(A: FpMatrix, B: FpMatrix) -> bool:
 
 
 def test_ev_monomials():
-    p5 = PrimeModulus(5)
-    assert ev(Polynomial.monomial(p5, 0)).tolist() == [1, 1, 1, 1, 1]
-    assert ev(Polynomial.monomial(p5, 1)).tolist() == [0, 1, 2, 3, 4]
-    assert ev(Polynomial.monomial(p5, 2)).tolist() == [0, 1, 4, 4, 1]
+    # row j of the generator is the evaluation of x^j at 0..p-1, with 0^0 = 1
+    assert rs_generator(5, 3).tolist() == [[1, 1, 1, 1, 1], [0, 1, 2, 3, 4], [0, 1, 4, 4, 1]]
+    for p in (3, 5, 7, 11, 13):
+        assert rs_generator(p, p).tolist() == [[pow(x, j, p) for x in range(p)] for j in range(p)]
 
 
 def test_exponent_folding():
-    p5 = PrimeModulus(5)
-    # x^5 = x pointwise on F_5, so the dense form folds the exponent
-    assert Polynomial.monomial(p5, 5) == Polynomial.monomial(p5, 1)
-    assert Polynomial.monomial(p5, 9) == Polynomial.monomial(p5, 1)  # 9 -> 9-4-4 = 1
-    q = Polynomial.from_coeffs(5, [0, 0, 0, 0, 0, 0, 1])  # x^6 -> x^2
-    assert q == Polynomial.monomial(p5, 2)
-
-
-def test_polynomial_arithmetic():
-    f = Polynomial.from_coeffs(5, [1, 2])  # 1 + 2x
-    assert f.degree() == 1
-    assert f.evaluate(3) == 7 % 5
-    g = Polynomial.from_coeffs(5, [0, 1])
-    h = f * g  # x + 2x^2
-    assert h.coeffs[:3] == (0, 1, 2)
-    assert (f + g).coeffs[:2] == (1, 3)
+    # x^5 = x pointwise on F_5, so ev(x^5) and ev(x^9) are row 1 and ev(x^6) is row 2
+    rows = rs_generator(5, 5).tolist()
+    assert [pow(x, 5, 5) for x in range(5)] == rows[1]
+    assert [pow(x, 9, 5) for x in range(5)] == rows[1]
+    assert [pow(x, 6, 5) for x in range(5)] == rows[2]
 
 
 def test_ev_is_star_homomorphism():
-    # ev(alpha) * ev(beta) = ev(alpha beta) since both sides evaluate pointwise
-    rng = np.random.default_rng(20240817)
+    # ev(x^i) * ev(x^j) = ev(x^(i+j)), with x^p = x pointwise folding i + j back below p
     for p in (3, 5, 7, 11, 13):
-        mod = PrimeModulus(p)
-        for _ in range(100):
-            a = Polynomial(mod, tuple(int(c) for c in rng.integers(0, p, size=p)))
-            b = Polynomial(mod, tuple(int(c) for c in rng.integers(0, p, size=p)))
-            assert star(ev(a), ev(b)) == ev(a * b)
+        rows = rs_generator(p, p).array
+        for i in range(p):
+            for j in range(p):
+                e = i + j if i + j < p else (i + j - 1) % (p - 1) + 1
+                assert (rows[i] * rows[j] % p).tolist() == rows[e].tolist(), (p, i, j)
 
 
 def test_rs_generator_rank_and_distance():
@@ -92,10 +79,10 @@ def test_evaluation_map_bijective():
 
 
 def test_rs_dual():
+    # RS_l-perp is RS_(p-l)
     for p, l in ((5, 2), (7, 3), (11, 4), (13, 6)):
         g = rs_generator(p, l)
-        gd = rs_dual(p, l)
-        assert gd.nrows == p - l
+        gd = rs_generator(p, p - l)
         assert not matmul_mod(g.array, gd.array.T, p).any()
         _, r1, _ = rref(g)
         _, r2, _ = rref(gd)
@@ -115,15 +102,16 @@ def test_spec_validation():
 
 
 def test_puncture_example():
+    # PRS_(p-l): RS_3 over F_5 with column 0 deleted
     spec = RsCodeSpec.make(5, 2, (0,))
-    g = puncture(spec, "l")
-    assert g.tolist() == [[1, 1, 1, 1], [1, 2, 3, 4]]
+    g = puncture(spec)
+    assert g.tolist() == [[1, 1, 1, 1], [1, 2, 3, 4], [1, 4, 4, 1]]
 
 
 def test_shorten_example():
     # codewords of RS_3 over F_5 vanishing at 0 are spanned by x and x^2
-    spec = RsCodeSpec.make(5, 2, (0,))
-    s = shorten(spec, "p-l")
+    spec = RsCodeSpec.make(5, 3, (0,))
+    s = shorten(spec)
     assert s.nrows == 2
     expect = FpMatrix.from_rows(5, [[1, 2, 3, 4], [1, 4, 4, 1]])
     assert rowspace_equal(s, expect)
@@ -131,14 +119,8 @@ def test_shorten_example():
 
 def test_shorten_empty_positions_is_identity():
     spec = RsCodeSpec.make(7, 3)
-    assert shorten(spec, "l") == rs_generator(7, 3)
-    assert puncture(spec, "l") == rs_generator(7, 3)
-
-
-def test_shorten_dimension_precondition():
-    spec = RsCodeSpec.make(7, 5, (0, 1, 2))
-    with pytest.raises(ValueError):
-        shorten(spec, "p-l")  # |A| = 3 > p - l = 2
+    assert shorten(spec) == rs_generator(7, 3)
+    assert puncture(spec) == rs_generator(7, 4)
 
 
 def test_puncture_shorten_duality():
@@ -150,8 +132,8 @@ def test_puncture_shorten_duality():
             for k in range(0, kmax + 1):
                 a = tuple(sorted(int(x) for x in rng.choice(p, size=k, replace=False)))
                 spec = RsCodeSpec.make(p, l, a)
-                pr = puncture(spec, "p-l")
-                sh = shorten(spec, "l")
+                pr = puncture(spec)
+                sh = shorten(spec)
                 assert not matmul_mod(pr.array, sh.array.T, p).any()
                 _, rp, _ = rref(pr)
                 assert rp + sh.nrows == p - k
@@ -194,7 +176,7 @@ def test_prs_min_distance_routes_agree():
         assert d == l - k + 1
         # cross-check against raw span enumeration of the punctured code
         if p ** (p - l) <= 10**6:
-            assert d == min_weight(puncture(spec, "p-l"))
+            assert d == min_weight(puncture(spec))
 
 
 def test_prs_min_distance_budget():
@@ -207,16 +189,13 @@ def test_distance_witness_polynomial():
     # punctured dual, matching the computed minimum for p=13, l=4, k=1
     p = 13
     mod = PrimeModulus(p)
-    f = Polynomial.monomial(mod, 0)
-    for b in range(1, 9):
-        f = f * Polynomial.from_coeffs(p, [(-b) % p, 1])
-    vec = ev(f)
+    vec = [math.prod(x - b for b in range(1, 9)) % p for x in range(p)]
     assert vec[0] != 0  # does not vanish at the punctured position itself
     witness = FpVector(mod, [vec[u] for u in range(1, p)])
     assert witness.weight() == 4
     # the witness lies in the punctured code being measured
     spec = RsCodeSpec.make(p, 4, (0,))
-    sh = shorten(spec, "l")
+    sh = shorten(spec)
     assert not matmul_mod(witness.array[None, :], sh.array.T, p).any()
 
 
