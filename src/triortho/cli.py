@@ -14,7 +14,15 @@ import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .fplinalg import DEFAULT_BUDGET, BudgetExceeded, MatrixFormatError, parse_matrix
+from .fplinalg import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    EmptyCoset,
+    MatrixFormatError,
+    coset_min_weight,
+    parse_matrix,
+    rref,
+)
 from .gates import PhaseIdentityError, find_p3_code, phase_identity_sweep, third_level_gate
 from .overhead import (
     INTERPRETATION_NOTE,
@@ -27,7 +35,6 @@ from .qudit_sim import STATE_CAP, ResourceCapError, verify_transversal_action
 from .starproduct import check_triorthogonal
 from .triortho_css import (
     TriorthogonalCode,
-    _distance_exact_z,
     build_code,
     code_from_matrix,
     from_descriptor,
@@ -119,12 +126,19 @@ def _verify_code(code: TriorthogonalCode, budget: int) -> dict:
     if code.k == 0:
         checks.append({"name": "distance", "passed": True, "detail": "no logical classes"})
     elif code.d_verified:
-        recomputed = _distance_exact_z(code.H0, code.H1, code.G, budget)
-        if recomputed is None:
-            passed, detail = False, "budget too small to confirm the claimed exact distance"
+        # a descriptor's G is untrusted: ranks by elimination, and the route that reads G first
+        H = code.H
+        routes = (("direct", rref(code.H1.stack(code.G))[1]), ("macwilliams", rref(H)[1]))
+        try:
+            recomputed, _ = coset_min_weight(code.H1, code.G, code.H0, H, routes, budget)
+        except EmptyCoset:
+            passed, detail = False, "no logical Z word: every word of span([H1; G]) lies in span(G)"
         else:
-            passed = recomputed == code.d
-            detail = f"claimed exact d = {code.d}, enumeration gives {recomputed}"
+            if recomputed is None:
+                passed, detail = False, "budget too small to confirm the claimed exact distance"
+            else:
+                passed = recomputed == code.d
+                detail = f"claimed exact d = {code.d}, enumeration gives {recomputed}"
         checks.append({"name": "distance", "passed": passed, "detail": detail})
     elif code.l is not None:
         passed = code.d == code.l - code.k

@@ -23,6 +23,7 @@ __all__ = [
     "FpVector",
     "FpMatrix",
     "BudgetExceeded",
+    "EmptyCoset",
     "MatrixFormatError",
     "is_prime",
     "inv_mod",
@@ -33,6 +34,7 @@ __all__ = [
     "min_weight",
     "weight_distribution",
     "macwilliams_dual_distribution",
+    "coset_min_weight",
     "parse_matrix",
 ]
 
@@ -43,6 +45,10 @@ class BudgetExceeded(Exception):
     def __init__(self, message: str, partial_bound: Optional[int] = None):
         super().__init__(message)
         self.partial_bound = partial_bound
+
+
+class EmptyCoset(ValueError):
+    """Every nonzero word of a span lies in the subspan it is measured outside."""
 
 
 class MatrixFormatError(ValueError):
@@ -452,19 +458,22 @@ def _span_basis(M: FpMatrix):
 def min_weight(M: FpMatrix, exclude: Optional[FpMatrix] = None, budget: int = DEFAULT_BUDGET) -> int:
     """Exact minimum Hamming weight over nonzero codewords of rowspan(M).
 
-    Codewords lying in rowspan(exclude) are skipped.  Enumeration walks the
-    whole span (p^rank codewords) in deterministic odometer order; if that
-    exceeds `budget` evaluations the partial bound found so far is raised
-    inside BudgetExceeded.
+    Codewords lying in rowspan(exclude) are skipped; when no nonzero one is
+    left, EmptyCoset is raised before any enumeration.  Enumeration walks
+    the whole span (p^rank codewords) in deterministic odometer order; if
+    that exceeds `budget` evaluations the partial bound found so far is
+    raised inside BudgetExceeded.
     """
     p = M.p
     basis, _ = _span_basis(M)
     rank = basis.shape[0]
     if rank == 0:
-        raise ValueError("zero code has no nonzero codewords")
+        raise EmptyCoset("zero code has no nonzero codewords")
     if exclude is not None and (exclude.p != p or exclude.ncols != M.ncols):
         raise ValueError("exclude matrix shape or modulus mismatch")
     excl_basis, excl_pivots = _span_basis(exclude) if exclude is not None else (None, None)
+    if excl_basis is not None and not _residue(excl_basis, excl_pivots, basis, p).any():
+        raise EmptyCoset("every nonzero codeword lies in the excluded span")
 
     total = p**rank
     limit = min(total, budget)
@@ -484,8 +493,6 @@ def min_weight(M: FpMatrix, exclude: Optional[FpMatrix] = None, budget: int = DE
             f"{total - 1} codewords exceed budget {budget}",
             partial_bound=None if best > M.ncols else best,
         )
-    if best > M.ncols:
-        raise ValueError("every nonzero codeword lies in the excluded span")
     return best
 
 
@@ -544,6 +551,43 @@ def macwilliams_dual_distribution(dist: Sequence[int], n: int, q: int) -> list:
         # sum over the dual distribution must be q^n / |C|
         raise ArithmeticError("MacWilliams transform failed consistency checks")
     return out
+
+
+def _first_excess(larger, smaller) -> Optional[int]:
+    """Least w >= 1 with larger[w] > smaller[w]: for spans C ⊃ D, the lightest word of C outside D."""
+    return next((w for w in range(1, len(larger)) if larger[w] > smaller[w]), None)
+
+
+def coset_min_weight(rows, inner, dual_outer, dual_inner, routes, budget: int = DEFAULT_BUDGET):
+    """Least weight of C = rowspan([rows; inner]) outside D = rowspan(inner) ⊂ C.
+
+    dual_outer and dual_inner generate C^⊥ and D^⊥; inner and dual_inner are
+    None for D = 0.  The first of `routes`, (route, dimension) pairs, with
+    p^dimension <= budget runs: "direct" is min_weight([rows; inner],
+    exclude=inner); "macwilliams" compares the MacWilliams transforms of the
+    weight distributions of C^⊥ and D^⊥, and also returns the least weight of
+    D^⊥ outside C^⊥.  Returns (distance, that dual distance or None), or
+    (None, None) when no route fits; raises EmptyCoset when C = D.
+    """
+    p, n = rows.p, rows.ncols
+    for route, dimension in routes:
+        if p**dimension > budget:
+            continue
+        if route == "direct":
+            outer = rows if inner is None else rows.stack(inner)
+            return min_weight(outer, exclude=inner, budget=budget), None
+        dist_outer = weight_distribution(dual_outer, budget=budget)
+        if dual_inner is None:
+            transform_inner, dual_distance = [1] + [0] * n, None
+        else:
+            dist_inner = weight_distribution(dual_inner, budget=budget)
+            transform_inner = macwilliams_dual_distribution(dist_inner, n, p)
+            dual_distance = _first_excess(dist_inner, dist_outer)
+        distance = _first_excess(macwilliams_dual_distribution(dist_outer, n, p), transform_inner)
+        if distance is None:
+            raise EmptyCoset("every word of the span lies in the subspan it is measured outside")
+        return distance, dual_distance
+    return None, None
 
 
 def parse_matrix(text: str) -> FpMatrix:

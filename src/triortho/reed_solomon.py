@@ -19,11 +19,9 @@ from .fplinalg import (
     BudgetExceeded,
     FpMatrix,
     PrimeModulus,
+    coset_min_weight,
     kernel_basis,
-    macwilliams_dual_distribution,
     matmul_mod,
-    min_weight,
-    weight_distribution,
 )
 
 __all__ = [
@@ -89,6 +87,8 @@ class RsCodeSpec:
 
 def puncture(spec: RsCodeSpec) -> FpMatrix:
     """Generator of PRS_(p-l),A: the RS_(p-l) generator with the A columns deleted."""
+    if spec.l == spec.p:
+        return FpMatrix.empty(spec.modulus, spec.p - spec.k)  # RS_0 is the zero code
     gen = rs_generator(spec.modulus, spec.p - spec.l)
     return FpMatrix(spec.modulus, gen.array[:, list(spec.complement())])
 
@@ -122,34 +122,25 @@ def rs_triply_even(p, l: int) -> bool:
 def prs_min_distance(spec: RsCodeSpec, budget: int = DEFAULT_BUDGET) -> int:
     """Exact minimum weight of PRS_(p-l),A — the punctured code of the distance claim.
 
-    Uses the cheaper of direct span enumeration and the dual-side route
-    (enumerate SRS_l,A, MacWilliams-transform its weight distribution).
-    Raises BudgetExceeded when both sides overflow the budget.
+    The cheaper side is enumerated (a tie goes to direct enumeration): the
+    code itself, or its dual SRS_l,A, whose weight distribution is
+    MacWilliams-transformed.  Raises BudgetExceeded when both sides overflow
+    the budget.
     """
     p = spec.p
-    n = p - spec.k
-    dim_code = p - spec.l  # puncturing cannot drop rank here: k <= l
-    dim_dual = spec.l - spec.k
-    cost_direct = p**dim_code
-    cost_dual = p**dim_dual
-    if min(cost_direct, cost_dual) > budget:
+    code, dual = puncture(spec), shorten(spec)
+    # the shortened code must really be the dual of the punctured one
+    if matmul_mod(code.array, dual.array.T, p).any() or dual.nrows != spec.l - spec.k:
+        raise ArithmeticError("shortened code is not the dual of the punctured code")
+    # puncturing cannot drop rank here (k <= l), so PRS_(p-l),A has dimension p - l
+    routes = sorted((("direct", p - spec.l), ("macwilliams", spec.l - spec.k)), key=lambda route: route[1])
+    d, _ = coset_min_weight(code, None, dual, None, routes, budget)
+    if d is None:
         raise BudgetExceeded(
             f"both enumeration sides exceed budget {budget} "
-            f"(direct {cost_direct}, dual {cost_dual})"
+            f"(direct {p ** (p - spec.l)}, dual {p ** (spec.l - spec.k)})"
         )
-    if cost_direct <= cost_dual:
-        return min_weight(puncture(spec), budget=budget)
-    dual_gen = shorten(spec)
-    # the shortened code must really be the dual of the punctured one
-    prod = matmul_mod(puncture(spec).array, dual_gen.array.T, p)
-    if prod.any() or dual_gen.nrows != dim_dual:
-        raise ArithmeticError("shortened code is not the dual of the punctured code")
-    dist = weight_distribution(dual_gen, budget=budget)
-    full = macwilliams_dual_distribution(dist, n, p)
-    for w in range(1, n + 1):
-        if full[w]:
-            return w
-    raise ArithmeticError("dual transform produced no nonzero codeword")
+    return d
 
 
 def audit_distance_formula(p_max: int, budget: int = DEFAULT_BUDGET) -> list:

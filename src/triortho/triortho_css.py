@@ -7,15 +7,21 @@ logical representatives) and H0 (square weight 0, X stabilizers), and take
 G = a kernel basis of the stacked H as the Z stabilizers.  CSS(X, H0; Z, G)
 then encodes k qudits.
 
-Distances are computed exactly whenever an enumeration side fits the
-budget, and each span is enumerated at most once.  When span(H) fits, the
-weight distributions of span(H0) ⊂ span(H) give both distances: d_Z through
-their MacWilliams transforms (the duals span([H1; G]) ⊃ span(G)), d_X as the
-lightest weight where span(H) has more words than span(H0).  Otherwise d_Z
-comes from enumerating span([H1; G]) minus span(G) directly, and d_X is left
-unknown.  Out-of-budget codes carry the family-formula value flagged
-d_verified = False.  verify recomputes d_Z with the direct route first, since
-a descriptor's G is untrusted (_distance_exact_z).
+Distances are exact whenever one enumeration fits the budget.  Every exact
+distance comes from one router, fplinalg.coset_min_weight: the least weight
+of a span C outside a subspan D, by enumerating C ("direct") or by the
+MacWilliams transforms of the weight distributions of D^⊥ ⊃ C^⊥
+("macwilliams", which also gives the least weight of D^⊥ outside C^⊥).  Each
+caller gives its route order and the dimension each route enumerates:
+  build_code  MacWilliams, then direct, on C = span([H1; G]) ⊃ D = span(G),
+              whose duals are span(H) ⊃ span(H0), so d_X comes with d_Z.
+              rank H = n - rows(G), and rank [H1; G] = k + rows(G) because
+              H1 H1^T is diagonal and invertible and H1 G^T = 0.
+  verify      direct, then MacWilliams, with ranks by elimination: a
+              descriptor's G is untrusted, and only the direct route reads it.
+  the audit   the cheaper side first, a tie going to direct
+              (reed_solomon.prs_min_distance).
+Out-of-budget codes carry the family-formula d flagged d_verified = False.
 """
 
 from __future__ import annotations
@@ -36,15 +42,13 @@ from .fplinalg import (
     PrimeModulus,
     _span_basis,
     _SpanEnumerator,
+    coset_min_weight,
     inv_mod,
     kernel_basis,
     matmul_mod,
-    min_weight,
-    macwilliams_dual_distribution,
     power_sums,
     rref,
     rref_with_transform,
-    weight_distribution,
 )
 from .reed_solomon import RsCodeSpec, rs_generator, rs_triply_even
 from .starproduct import check_triorthogonal
@@ -141,74 +145,6 @@ class TriorthogonalCode:
         return f"p{self.p}-custom-{digest}"
 
 
-def _first_excess(larger, smaller, message: str) -> int:
-    """Least w >= 1 with larger[w] > smaller[w]: the lightest word of a span outside a subspan.
-
-    Exact when the distributions belong to spans C ⊃ D: each weight class of D
-    lies inside C's, so C has a word of weight w outside D exactly then.
-    """
-    for w in range(1, len(larger)):
-        if larger[w] > smaller[w]:
-            return w
-    raise ArithmeticError(message)
-
-
-def _distance_z_dual(dist_h0, dist_h, p: int) -> int:
-    """d_Z from the span(H0) and span(H) distributions by their MacWilliams transforms.
-
-    Their duals are span([H1; G]) ⊃ span(G), whose difference is the logical Z words.
-    """
-    n = len(dist_h) - 1
-    outer = macwilliams_dual_distribution(dist_h0, n, p)
-    inner = macwilliams_dual_distribution(dist_h, n, p)
-    return _first_excess(outer, inner, "no logical Z codeword found; H1 must be dependent on [H0; G]")
-
-
-def _distance_exact_z(H0, H1, G, budget: int) -> Optional[int]:
-    """Minimum weight over span([H1; G]) \\ span(G), or None when out of budget.
-
-    The route of verify, whose G is read from a descriptor and so untrusted:
-    ranks come from elimination, and the direct route, which enumerates the
-    coset space through G, is tried first; the MacWilliams route, which never
-    reads G, is the fallback.
-    """
-    p = H0.p
-    if H1.nrows == 0:
-        return None
-    stacked = H1.stack(G)
-    _, rank_z, _ = rref(stacked)
-    if p**rank_z <= budget:
-        return min_weight(stacked, exclude=G, budget=budget)
-    full_h = H1.stack(H0)
-    _, rank_h, _ = rref(full_h)
-    if p**rank_h <= budget:
-        return _distance_z_dual(weight_distribution(H0, budget=budget), weight_distribution(full_h, budget=budget), p)
-    return None
-
-
-def _distances(H0, H1, H, G, budget: int):
-    """(d_Z, d_X) of a code being assembled, each None when out of budget.
-
-    G = kernel_basis(H), so rank H = n - rows(G) without elimination.  H1 H1^T
-    is diagonal and invertible and H1 G^T = 0, so no combination of H1 rows
-    lies in span(G) and rank [H1; G] = k + rows(G).  span(H) is enumerated
-    when it fits, with span(H0) ⊂ span(H): both distances then come from the
-    two distributions, d_X as the lightest word of span(H) outside span(H0).
-    Otherwise the coset space span([H1; G]) is enumerated directly for d_Z.
-    """
-    p, n, k = H.p, H.ncols, H1.nrows
-    if k == 0:
-        return None, None
-    if p ** (n - G.nrows) <= budget:
-        dist_h0 = weight_distribution(H0, budget=budget)
-        dist_h = weight_distribution(H, budget=budget)
-        d_x = _first_excess(dist_h, dist_h0, "no logical X codeword found; H1 must be dependent on H0")
-        return _distance_z_dual(dist_h0, dist_h, p), d_x
-    if p ** (k + G.nrows) <= budget:
-        return min_weight(H1.stack(G), exclude=G, budget=budget), None
-    return None, None
-
-
 def _assemble(modulus, l, A, H0, H1, budget, claimed: Optional[int]) -> TriorthogonalCode:
     stacked = H1.stack(H0)
     ok, witness = check_triorthogonal(stacked)
@@ -222,7 +158,9 @@ def _assemble(modulus, l, A, H0, H1, budget, claimed: Optional[int]) -> Triortho
         raise ValueError(f"H1 row {int(np.flatnonzero(square1 == 0)[0])} has zero square weight")
     G = kernel_basis(stacked)
     eps = FpVector(modulus, power_sums(H1.array, 3, modulus.p))
-    d_z, d_x = _distances(H0, H1, stacked, G, budget)
+    # ranks from row counts, no elimination (module docstring)
+    routes = (("macwilliams", stacked.ncols - G.nrows), ("direct", H1.nrows + G.nrows))
+    d_z, d_x = coset_min_weight(H1, G, H0, stacked, routes, budget) if H1.nrows else (None, None)
     if H1.nrows == 0:
         d, verified = 0, True  # no logical classes: distance is vacuous
     elif d_z is not None:

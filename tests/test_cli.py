@@ -122,6 +122,26 @@ def test_verify_tampered_epsilon(capsys, tmp_path):
     assert "cubic_weights" in failed
 
 
+@pytest.mark.parametrize("plk", [(7, 2, 1), (13, 4, 1)])
+def test_verify_reports_an_empty_logical_coset(capsys, tmp_path, plk):
+    # H1 replaced by a stabilizer row: no logical Z word is left.  (7,2,1) finds
+    # that on the direct route, (13,4,1) (13^8 words in span(G)) by MacWilliams
+    p, l, k = plk
+    target = tmp_path / "code.json"
+    assert main(["construct", "--p", str(p), "--l", str(l), "--k", str(k), "--output", str(target)]) == 0
+    data = json.loads(target.read_text())
+    data["H1"] = [data["H0"][0]]
+    target.write_text(json.dumps(data))
+    exit_code, out, err = run(capsys, "verify", "--input", str(target))
+    assert (exit_code, err) == (1, "")
+    distance = next(c for c in json.loads(out)["checks"] if c["name"] == "distance")
+    assert distance == {
+        "name": "distance",
+        "passed": False,
+        "detail": "no logical Z word: every word of span([H1; G]) lies in span(G)",
+    }
+
+
 def test_verify_unreadable_inputs(capsys, tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text("")

@@ -3,13 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triortho.fplinalg import (
     BudgetExceeded,
+    EmptyCoset,
     FpMatrix,
     FpVector,
     MatrixFormatError,
     PrimeModulus,
+    coset_min_weight,
     in_rowspan,
     inv_mod,
     is_prime,
@@ -190,10 +194,18 @@ def test_min_weight_exclusion():
     M = FpMatrix(3, [[1, 1, 0], [0, 0, 1]])
     assert min_weight(M) == 1
     assert min_weight(M, exclude=FpMatrix(3, [[0, 0, 1]])) == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyCoset):
         min_weight(M, exclude=M)
     with pytest.raises(ValueError):
         min_weight(FpMatrix(3, np.zeros((2, 3), dtype=int)))
+
+
+def test_min_weight_finds_an_empty_coset_without_enumerating():
+    # 13^8 words lie in the excluded span; a budget of 10 words could not
+    # walk them, so only the rank test can say that none is left
+    M = FpMatrix(13, np.random.default_rng(3).integers(0, 13, size=(8, 12)))
+    with pytest.raises(EmptyCoset):
+        min_weight(M.stack(FpMatrix(13, M.array[:2] + M.array[2:4])), exclude=M, budget=10)
 
 
 def test_min_weight_budget_exceeded_carries_partial_bound():
@@ -265,3 +277,46 @@ def test_matrix_stack_and_empty():
     assert A.stack(B).tolist() == [[1, 2], [3, 4]]
     E = FpMatrix.empty(5, 2)
     assert E.nrows == 0 and E.stack(A) == A
+
+
+@st.composite
+def nested_spans(draw):
+    """(rows, inner): D = rowspan(inner) inside C = rowspan([rows; inner]), inner None for D = 0."""
+    p = draw(st.sampled_from((2, 3, 7, 13, 251)))
+    n = draw(st.integers(2, max(2, min(8, int(math.log(2 * 10**4, p))))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inner_rows = draw(st.integers(0, n - 1))
+    rows = FpMatrix(p, rng.integers(0, p, size=(draw(st.integers(1, n - inner_rows)), n)))
+    return rows, FpMatrix(p, rng.integers(0, p, size=(inner_rows, n))) if inner_rows else None
+
+
+@settings(max_examples=40, deadline=None)
+@given(nested_spans())
+def test_distance_router_routes_agree(spans):
+    rows, inner = spans
+    p, n = rows.p, rows.ncols
+    outer = rows if inner is None else rows.stack(inner)
+    dual_outer = kernel_basis(outer)
+    dual_inner = None if inner is None else kernel_basis(inner)
+    direct = ("direct", rref(outer)[1])
+    macwilliams = ("macwilliams", (dual_outer if dual_inner is None else dual_inner).nrows)
+
+    def route(*routes, budget=10**5):
+        return coset_min_weight(rows, inner, dual_outer, dual_inner, routes, budget)
+
+    # no route fits: the router says so instead of raising
+    assert route(direct, macwilliams, budget=p ** min(direct[1], macwilliams[1]) - 1) == (None, None)
+    if direct[1] == (0 if inner is None else rref(inner)[1]):
+        for routes in ((direct, macwilliams), (macwilliams, direct)):
+            with pytest.raises(EmptyCoset):
+                route(*routes)
+        return
+    d_direct, no_dual = route(direct, macwilliams)
+    d_dual_first, dual_distance = route(macwilliams, direct)
+    assert d_direct == d_dual_first
+    assert no_dual is None
+    if dual_inner is None:
+        assert dual_distance is None
+    else:
+        assert dual_distance == min_weight(dual_inner, exclude=dual_outer)
+    assert 1 <= d_direct <= n

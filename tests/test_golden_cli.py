@@ -4,8 +4,9 @@ The digests pin the exact bytes printed, so a change to the arithmetic
 underneath cannot silently move a descriptor (G is a kernel basis), a
 verify report or a witness.  They were recorded before the F_p kernel was
 consolidated (the (17,6,3) and p=701 constructs before the distance routes
-and the span enumerator were reworked); a deliberate output change must
-re-record them and say why.
+and the span enumerator were reworked, the clean verify reports, the
+distance table and the audit before the three distance routers became one);
+a deliberate output change must re-record them and say why.
 """
 
 import hashlib
@@ -14,6 +15,9 @@ import json
 import pytest
 
 from triortho.cli import main
+from triortho.fplinalg import is_prime
+from triortho.reed_solomon import audit_distance_formula
+from triortho.triortho_css import build_code
 
 GOLDEN = {
     "construct-11-4-2-positions": (
@@ -43,6 +47,16 @@ TAMPERED_13_4_1 = ("1421cd9353011ef8f533409e9b5c61aa8f0f9f61116e57169f6c69855ee3
 # summation order of the inner product, so it is bounded and the rest of the
 # report pinned (test_cli checks it does not move with the BLAS thread count)
 SIMULATE_7_2_1 = ("cef62bc230454c42da6bc2f6921a99ee1fc8c917428b5e18a9534ddf9634559c", 0)
+# verify of clean descriptors: (7,2,1) enumerates span([H1; G]) directly, (13,4,1)
+# (13^9 coset words) takes the MacWilliams transforms of span(H0) and span(H)
+VERIFY_CLEAN = {
+    (7, 2, 1): ("763344dcd1974f1ac1b76805c5aa443e5ec3621baaa49ad09dca5a45f8909d2d", 0),
+    (13, 4, 1): ("fa3a6ded61f4b961ea5adf0e4578b0a0b9e056af460ca192b6b6f39522d6c1f0", 0),
+}
+# (d, d_verified, d_x) of build_code for every 1 <= k < l <= (p+1)/3, p <= 23, both
+# end puncture sets, at budgets on each side of the route switches: 288 builds
+DISTANCE_TABLE = "094dfa4c5fc8f7c29c987d3fb1c7cece111aa3bb05425985670f380897d86adb"
+AUDIT_23 = "09dc85ab1ae43d4d0c3394e2bd8fe26bbe5982037e2f16e1e72a22e2f737ab1e"
 
 
 def sha256(text):
@@ -74,3 +88,34 @@ def test_simulate_report_is_golden(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report.pop("max_deviation") < 1e-9
     assert (sha256(json.dumps(report, indent=2, sort_keys=True)), exit_code) == SIMULATE_7_2_1
+
+
+@pytest.mark.parametrize("plk", sorted(VERIFY_CLEAN))
+def test_verify_clean_descriptor_is_golden(capsys, tmp_path, plk):
+    p, l, k = plk
+    assert main(["construct", "--p", str(p), "--l", str(l), "--k", str(k)]) == 0
+    path = tmp_path / "code.json"
+    path.write_text(capsys.readouterr().out)
+    assert digest(capsys, ["verify", "--input", str(path)]) == VERIFY_CLEAN[plk]
+
+
+def distance_table():
+    rows = []
+    for p in filter(is_prime, range(24)):
+        for l in range(2, (p + 1) // 3 + 1):
+            for k in range(1, l):
+                for A in (tuple(range(k)), tuple(range(p - k, p))):
+                    for budget in (10**4, 10**6):
+                        code = build_code(p, l, k, A=A, budget=budget)
+                        rows.append([p, l, k, list(A), budget, code.d, code.d_verified, code.d_x])
+    return rows
+
+
+def test_build_code_distance_table_is_golden():
+    rows = distance_table()
+    assert len(rows) == 288
+    assert sha256(json.dumps(rows)) == DISTANCE_TABLE
+
+
+def test_distance_audit_is_golden():
+    assert sha256(json.dumps(audit_distance_formula(23, budget=10**6), sort_keys=True)) == AUDIT_23

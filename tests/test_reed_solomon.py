@@ -179,6 +179,14 @@ def test_prs_min_distance_routes_agree():
             assert d == min_weight(puncture(spec))
 
 
+def test_puncture_at_l_equal_p_is_the_zero_code():
+    # PRS_0,A: RS_0 holds no polynomial, so the punctured generator has no rows
+    spec = RsCodeSpec.make(7, 7, (0,))
+    assert puncture(spec) == FpMatrix.empty(7, 6)
+    with pytest.raises(ValueError, match="zero code has no nonzero codewords"):
+        prs_min_distance(spec)
+
+
 def test_prs_min_distance_budget():
     with pytest.raises(BudgetExceeded):
         prs_min_distance(RsCodeSpec.make(13, 6, (0,)), budget=10**4)
