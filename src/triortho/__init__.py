@@ -1,7 +1,7 @@
 """Tri-orthogonal qudit CSS codes from punctured Reed-Solomon codes over F_p.
 
 Construction, exact verification of the orthogonality and transversal-gate
-claims, dense state-vector cross-checks, and distillation-overhead search.
+claims, sparse state-vector cross-checks, and distillation-overhead search.
 """
 
 from .fplinalg import (

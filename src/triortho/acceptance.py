@@ -148,6 +148,12 @@ def criterion_6() -> dict:
     return _result(6, "cubic phase identity over all logical u", not bad, detail)
 
 
+def _amplitude_gap(a, b) -> float:
+    """Largest amplitude difference of two states; inf when their supports differ."""
+    same = np.array_equal(a.labels, b.labels)
+    return float(np.abs(a.amplitudes - b.amplitudes).max()) if same else math.inf
+
+
 def criterion_7() -> dict:
     code = build_code(7, 2, 1)
     report = verify_transversal_action(code, third_level_gate(7))
@@ -155,11 +161,9 @@ def criterion_7() -> dict:
     for uval in range(7):
         state = encode(code, FpVector(7, [uval]))
         for i in range(code.H0.nrows):
-            moved = apply_x_string(state, code.H0.row(i))
-            stab_dev = max(stab_dev, float(np.abs(moved.amplitudes - state.amplitudes).max()))
+            stab_dev = max(stab_dev, _amplitude_gap(state, apply_x_string(state, code.H0.row(i))))
         for i in range(code.G.nrows):
-            moved = apply_z_string(state, code.G.row(i))
-            stab_dev = max(stab_dev, float(np.abs(moved.amplitudes - state.amplitudes).max()))
+            stab_dev = max(stab_dev, _amplitude_gap(state, apply_z_string(state, code.G.row(i))))
     ok = report["max_deviation"] < 1e-9 and not report["failures"] and stab_dev < 1e-9
     return _result(
         7,

@@ -1,18 +1,21 @@
-"""Dense state-vector simulation of small qudit registers.
+"""State-vector simulation of qudit registers, each state held on its support.
 
-Basis labels are base-p digit strings with qudit 0 the most significant
-digit.  Everything here is double precision; exact phase arithmetic lives
-in the gates module, and the end-to-end check compares the two against each
-other as independent implementations of the same transversal-gate action.
+A state keeps the basis labels of its support, rows of n base-p digits (qudit
+0 first) in lexicographic order, one amplitude each; every other label has
+amplitude 0.  An encoded |u> takes the p^rank(H0) words of its coset, not p^n
+amplitudes.  Everything here is double precision; exact phase arithmetic
+lives in the gates module, and the end-to-end check compares the two as
+independent implementations of the same transversal-gate action.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fplinalg import FpVector, PrimeModulus, matmul_mod, powers_mod
+from .fplinalg import FpVector, PrimeModulus, matmul_mod, powers_mod, rref
 from .gates import GateSpec, _coefficients, gate_phase, phase_identity_sweep
 from .triortho_css import TriorthogonalCode, encoded_state_support
 
@@ -27,39 +30,54 @@ __all__ = [
     "verify_transversal_action",
 ]
 
-STATE_CAP = 2**24  # hard limit on p^n amplitudes
-_INNER_CHUNK = 1 << 16  # amplitudes per partial sum of an inner product
+STATE_CAP = 2**24  # hard limit on the label digits held: rows times n
 
 
 class ResourceCapError(Exception):
-    """The requested register exceeds the dense-simulation cap."""
+    """The requested states exceed the simulation cap."""
 
 
-def _check_cap(p: int, n: int) -> int:
-    size = p**n
+def _check_cap(code: TriorthogonalCode, k: int) -> None:
+    """Refuse p^k encoded states whose labels together pass STATE_CAP digits, before any is built."""
+    _, rank_h0, _ = rref(code.H0)
+    size = code.p ** (k + rank_h0) * code.n
     if size > STATE_CAP:
-        raise ResourceCapError(f"p^n = {p}^{n} = {size} exceeds the cap {STATE_CAP}")
-    return size
+        limit = f"p^(k + rank H0) * n = {code.p}^{k + rank_h0} * {code.n} = {size}"
+        raise ResourceCapError(f"{limit} exceeds the cap {STATE_CAP} on label digits")
 
 
 @dataclass(frozen=True)
 class QuditState:
-    """Unit vector in (C^p)^(tensor n); amplitudes indexed by base-p strings."""
+    """Unit vector in (C^p)^(tensor n): amplitudes[i] on the basis label labels[i]."""
 
     modulus: PrimeModulus
     n: int
+    labels: np.ndarray
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        size = _check_cap(self.modulus.p, self.n)
+        p, n = self.modulus.p, self.n
+        shape = np.shape(self.labels)
+        if len(shape) != 2 or shape[1] != n:
+            raise ValueError(f"labels must be rows of {n} digits")
+        if shape[0] * n > STATE_CAP:
+            raise ResourceCapError(f"{shape[0]} labels of {n} digits exceed the cap {STATE_CAP} on label digits")
+        labels = np.asarray(self.labels, dtype=np.int64)
         amp = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amp.shape != (size,):
-            raise ValueError(f"amplitude vector must have length {size}")
+        if amp.shape != (shape[0],):
+            raise ValueError(f"need one amplitude per label, {shape[0]} in all")
+        if ((labels < 0) | (labels >= p)).any():
+            raise ValueError(f"label digits must lie in [0, {p})")
+        order = np.lexsort(labels.T[::-1])
+        labels, amp = labels[order], amp[order]
+        if (labels[1:] == labels[:-1]).all(axis=1).any():
+            raise ValueError("duplicate basis label")
         norm = float(np.linalg.norm(amp))
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-9")
-        amp = amp.copy()
+        labels.setflags(write=False)
         amp.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "amplitudes", amp)
 
     @property
@@ -67,51 +85,41 @@ class QuditState:
         return self.modulus.p
 
     def inner(self, other: "QuditState") -> complex:
-        """<self|other> (conjugates this state's amplitudes).
+        """<self|other> (conjugates this state's amplitudes), correctly rounded.
 
-        Summed without BLAS, in fixed chunks taken in order, so the value does
-        not depend on the BLAS thread count and no full-length product is held.
+        Over the shared labels, conj(a)·b = (ar·br + ai·bi) + i(ar·bi - ai·br):
+        each real product is rounded once, and math.fsum sums those of each
+        part exactly, so neither the summation order nor the length of the
+        arrays can move the result.
         """
-        a, b = self.amplitudes, other.amplitudes
-        total = 0j
-        for s in range(0, a.shape[0], _INNER_CHUNK):
-            total += complex((np.conj(a[s : s + _INNER_CHUNK]) * b[s : s + _INNER_CHUNK]).sum())
-        return total
-
-
-def _place_values(p: int, n: int) -> np.ndarray:
-    return np.array([p ** (n - 1 - i) for i in range(n)], dtype=np.int64)
-
-
-def _digit(p: int, n: int, indices: np.ndarray, position: int) -> np.ndarray:
-    return (indices // p ** (n - 1 - position)) % p
+        if (other.p, other.n) != (self.p, self.n):
+            raise ValueError("states live on different registers")
+        row = np.dtype((np.void, 8 * self.n))  # a label row as one opaque key
+        keys = [state.labels.view(row).ravel() for state in (self, other)]
+        _, mine, theirs = np.intersect1d(*keys, assume_unique=True, return_indices=True)
+        a, b = self.amplitudes[mine], other.amplitudes[theirs]
+        real = math.fsum(np.concatenate([a.real * b.real, a.imag * b.imag]))
+        return complex(real, math.fsum(np.concatenate([a.real * b.imag, -(a.imag * b.real)])))
 
 
 def encode(code: TriorthogonalCode, u: FpVector) -> QuditState:
     """Uniform superposition over the coset u·H1 + span(H0)."""
-    size = _check_cap(code.p, code.n)
-    support = encoded_state_support(code, u)
-    pv = _place_values(code.p, code.n)
-    amp = np.zeros(size, dtype=np.complex128)
-    scale = 1.0 / np.sqrt(len(support))
-    for word in support:
-        amp[int(word.array @ pv)] = scale
-    return QuditState(code.modulus, code.n, amp)
+    _check_cap(code, 0)
+    labels = encoded_state_support(code, u)
+    amp = np.full(len(labels), 1.0 / np.sqrt(len(labels)), dtype=np.complex128)
+    return QuditState(code.modulus, code.n, labels, amp)
 
 
 def apply_transversal_diagonal(state: QuditState, g: GateSpec) -> QuditState:
-    """Multiply each amplitude by the product of per-digit gate phases."""
+    """Multiply each amplitude by the product of per-digit gate phases, in qudit order."""
     if g.p != state.p:
         raise ValueError("gate and state moduli disagree")
-    p, n = state.p, state.n
-    table = np.array(
-        [np.exp(2j * np.pi * gate_phase(g, j).numerator / g.denominator) for j in range(p)]
-    )
-    indices = np.arange(state.amplitudes.shape[0], dtype=np.int64)
-    amp = np.array(state.amplitudes)
-    for pos in range(n):
-        amp *= table[_digit(p, n, indices, pos)]
-    return QuditState(state.modulus, n, amp)
+    digits, index = np.unique(state.labels, return_inverse=True)
+    phases = np.array([np.exp(2j * np.pi * gate_phase(g, int(j)).numerator / g.denominator) for j in digits])
+    index, amp = index.reshape(state.labels.shape), state.amplitudes
+    for pos in range(state.n):
+        amp = amp * phases[index[:, pos]]  # numpy's in-place product rounds one-row arrays apart
+    return QuditState(state.modulus, state.n, state.labels, amp)
 
 
 def apply_x_string(state: QuditState, h: FpVector) -> QuditState:
@@ -119,14 +127,7 @@ def apply_x_string(state: QuditState, h: FpVector) -> QuditState:
     p, n = state.p, state.n
     if len(h) != n or h.p != p:
         raise ValueError(f"shift must be a length-{n} vector mod {p}")
-    indices = np.arange(state.amplitudes.shape[0], dtype=np.int64)
-    target = np.zeros_like(indices)
-    for pos in range(n):
-        shifted = (_digit(p, n, indices, pos) + int(h[pos])) % p
-        target += shifted * p ** (n - 1 - pos)
-    amp = np.zeros_like(state.amplitudes)
-    amp[target] = state.amplitudes
-    return QuditState(state.modulus, n, amp)
+    return QuditState(state.modulus, n, (state.labels + h.array) % p, state.amplitudes)
 
 
 def apply_z_string(state: QuditState, f: FpVector) -> QuditState:
@@ -134,12 +135,8 @@ def apply_z_string(state: QuditState, f: FpVector) -> QuditState:
     p, n = state.p, state.n
     if len(f) != n or f.p != p:
         raise ValueError(f"phase vector must be a length-{n} vector mod {p}")
-    indices = np.arange(state.amplitudes.shape[0], dtype=np.int64)
-    exponent = np.zeros_like(indices)
-    for pos in range(n):
-        exponent = (exponent + _digit(p, n, indices, pos) * int(f[pos])) % p
-    amp = state.amplitudes * np.exp(2j * np.pi * exponent / p)
-    return QuditState(state.modulus, n, amp)
+    exponent = matmul_mod(state.labels, f.array, p)
+    return QuditState(state.modulus, n, state.labels, state.amplitudes * np.exp(2j * np.pi * exponent / p))
 
 
 def _claimed_numerators(code: TriorthogonalCode, g: GateSpec, coeffs: np.ndarray) -> np.ndarray:
@@ -165,11 +162,12 @@ def verify_transversal_action(code: TriorthogonalCode, g: GateSpec, tol: float =
     the predicted global phase on |u_enc>; deviations are |1 - <s2|s1>|.
     The prediction is also checked against the exact phase algebra, so a
     wrong stored epsilon lands in `failures` too, and a failing identity
-    raises PhaseIdentityError.
+    raises PhaseIdentityError.  The p^(k + rank H0) labels of all the
+    encoded states, n digits each, must fit STATE_CAP.
     """
     if g.p != code.p:
         raise ValueError("gate and code moduli disagree")
-    _check_cap(code.p, code.n)
+    _check_cap(code, code.k)
     count = code.p**code.k
     coeffs = _coefficients(0, count, code.k, code.p)
     claimed_all = _claimed_numerators(code, g, coeffs)

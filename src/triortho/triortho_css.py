@@ -253,7 +253,9 @@ def validate_code(code: TriorthogonalCode) -> dict:
     checks.append(_check("logical_independence", indep))
 
     _, rank_g, _ = rref(code.G)
-    dim_ok = code.k == code.n - rank_h0 - rank_g and code.k == code.H1.nrows
+    # a repeated row in H0 or G would leave every rank and span unchanged
+    independent_rows = rank_h0 == code.H0.nrows and rank_g == code.G.nrows
+    dim_ok = code.k == code.n - rank_h0 - rank_g and code.k == code.H1.nrows and independent_rows
     checks.append(_check("dimension", dim_ok, f"n={code.n}, rank H0={rank_h0}, rank G={rank_g}"))
 
     _, rank_g_h0, _ = rref(code.G.stack(code.H0))
@@ -283,18 +285,15 @@ def validate_code(code: TriorthogonalCode) -> dict:
     return {"passed": all(c["passed"] for c in checks), "checks": checks}
 
 
-def encoded_state_support(code: TriorthogonalCode, u: FpVector) -> set:
-    """Basis labels of the encoded |u>: the coset u·H1 + span(H0)."""
+def encoded_state_support(code: TriorthogonalCode, u: FpVector) -> np.ndarray:
+    """Basis labels of the encoded |u>: the coset u·H1 + span(H0), one int64 row per word."""
     if len(u) != code.k or u.p != code.p:
         raise ValueError(f"u must be a length-{code.k} vector mod {code.p}")
     p = code.p
     base = matmul_mod(u.array, code.H1.array, p)
     basis, _ = _span_basis(code.H0)
-    return {
-        FpVector(code.modulus, (base + word) % p)
-        for _, words in _SpanEnumerator(basis, p).blocks()
-        for word in words
-    }
+    words = np.concatenate([block for _, block in _SpanEnumerator(basis, p).blocks()])
+    return (words + base) % p
 
 
 def to_descriptor(code: TriorthogonalCode) -> dict:

@@ -142,6 +142,20 @@ def test_verify_reports_an_empty_logical_coset(capsys, tmp_path, plk):
     }
 
 
+@pytest.mark.parametrize("matrix", ["G", "H0"])
+def test_verify_flags_a_duplicated_row(capsys, tmp_path, matrix):
+    # a repeated row leaves every rank and span as it was; only the row count gives it away
+    target = tmp_path / "code.json"
+    assert main(["construct", "--p", "7", "--l", "2", "--k", "1", "--output", str(target)]) == 0
+    data = json.loads(target.read_text())
+    data[matrix].append(data[matrix][0])
+    target.write_text(json.dumps(data))
+    exit_code, out, _ = run(capsys, "verify", "--input", str(target))
+    assert exit_code == 1
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+    assert failed == ["dimension"]
+
+
 def test_verify_unreadable_inputs(capsys, tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text("")
@@ -206,6 +220,23 @@ def test_simulate_output_is_independent_of_blas_threads():
 
 def test_simulate_cap_exceeded(capsys):
     exit_code, _, err = run(capsys, "simulate", "--p", "97", "--l", "29", "--k", "14")
+    assert exit_code == 4
+    assert "exceeds" in err
+
+
+def test_simulate_reaches_codes_past_the_dense_cap(capsys):
+    # 13^12 dense amplitudes, but 13 encoded states of 13^3 labels each
+    exit_code, out, _ = run(capsys, "simulate", "--p", "13", "--l", "4", "--k", "1")
+    assert exit_code == 0
+    report = json.loads(out)
+    assert report["failures"] == []
+    assert report["max_deviation"] < 1e-9
+
+
+def test_simulate_cap_counts_logical_states(capsys, monkeypatch):
+    # rank H0 = 1, so one coset fits; the 31^9 logical states do not
+    monkeypatch.setattr("triortho.qudit_sim.encode", lambda code, u: pytest.fail("state built past the cap"))
+    exit_code, _, err = run(capsys, "simulate", "--p", "31", "--l", "10", "--k", "9")
     assert exit_code == 4
     assert "exceeds" in err
 

@@ -141,15 +141,18 @@ def test_validate_code_fault_injection():
 
 def test_encoded_state_support():
     code = build_code(7, 2, 1)
-    zero = encoded_state_support(code, FpVector(7, [0]))
-    assert len(zero) == 7
-    assert FpVector(7, [0, 0, 0, 0, 0, 0]) in zero
-    one = encoded_state_support(code, FpVector(7, [1]))
-    assert len(one) == 7
-    assert FpVector(7, [6, 6, 6, 6, 6, 6]) in one
-    assert FpVector(7, [0, 1, 2, 3, 4, 5]) in one  # shifted by the H0 row
+
+    def words(u):
+        labels = encoded_state_support(code, FpVector(7, [u]))
+        assert labels.shape == (7, code.n) and labels.dtype == np.int64
+        return {tuple(row) for row in labels.tolist()}
+
+    zero, one, two = words(0), words(1), words(2)
+    assert len(zero) == len(one) == len(two) == 7  # distinct rows
+    assert (0, 0, 0, 0, 0, 0) in zero
+    assert (6, 6, 6, 6, 6, 6) in one
+    assert (0, 1, 2, 3, 4, 5) in one  # shifted by the H0 row
     assert not zero & one  # logical classes are disjoint cosets
-    two = encoded_state_support(code, FpVector(7, [2]))
     assert not one & two and not zero & two
 
 
