@@ -5,6 +5,10 @@ prime p offers n = p - k, d = l - k under 3l <= p + 1, so growing p drives
 the best achievable gamma toward zero like 1/ln(p).  The distance parameter
 is read as l - k throughout — the value that reproduces the family's own
 reference numbers — and every report carries that interpretation note.
+
+The per-prime search bisects over k, where gamma is quasiconvex, instead of
+scanning every k; search_best_gamma gives the argument, the float window
+and the exhaustive check that makes its records those of the full scan.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ __all__ = [
     "to_csv",
     "scaling_summary",
 ]
+
+WINDOW = 2  # ks evaluated on each side of the bisection's minimiser
 
 INTERPRETATION_NOTE = (
     "gamma = ln(n/k)/ln(d) with the family distance parameter read as d = l - k; "
@@ -73,35 +79,50 @@ def primes_up_to(n: int) -> List[int]:
     return [int(q) for q in np.nonzero(flags)[0]]
 
 
+def _gamma_at(p: np.ndarray, l: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Elementwise gamma at d = l - k, n = p - k, in float64 as a full scan over k computes it."""
+    k = k.astype(np.float64)
+    return np.log((p - k) / k) / np.log(l - k)
+
+
 def search_best_gamma(p_max: int) -> List[OverheadRecord]:
     """Per-prime minimum of gamma over the family's (l, k) grid.
 
     For fixed k, gamma strictly decreases as l grows (larger d at the same
-    n/k), so the minimum always sits at l = floor((p+1)/3); the scan runs
-    over k there, taking the first (smallest-k) minimizer.  A brute-force
-    grid scan cross-checks this reduction in the test suite.
+    n/k), so the minimum sits at l = floor((p+1)/3) and only k in 1..l-2
+    is left.  There f(k) = ln((p-k)/k) / ln(l-k) is quasiconvex: the
+    numerator is positive and convex for k < p/2, the denominator positive
+    and concave, so each sublevel set {N - cD <= 0}, c > 0, is an interval.
+    A bisection on the sign of f(k+1) - f(k), run over all primes at once,
+    therefore lands on the integer minimiser in about log2(l) steps.  Float
+    rounding only matters on the flat bottom, so the record is the first
+    argmin of f over a window of WINDOW ks on each side of that point, each
+    value computed by the same float64 expression a full scan over k uses.
+    The test suite checks the result against that full scan, record for
+    record and bit for bit, for every prime up to the 10^5 cap; a prime's
+    record does not depend on p_max, so that covers every accepted search.
     """
     if p_max > 10**5:
         raise ValueError("search capped at p_max <= 10^5")
-    records = []
-    for p in primes_up_to(p_max):
-        l = (p + 1) // 3
-        if l < 3:
-            continue  # no k gives d >= 2
-        k = np.arange(1, l - 1, dtype=np.float64)
-        g = np.log((p - k) / k) / np.log(l - k)
-        best = int(np.argmin(g))  # first occurrence: smallest k on ties
-        records.append(
-            OverheadRecord(
-                p=p,
-                l=l,
-                k=best + 1,
-                n=p - (best + 1),
-                d=l - (best + 1),
-                gamma=float(g[best]),
-            )
-        )
-    return records
+    p = np.array(primes_up_to(p_max), dtype=np.int64)
+    l = (p + 1) // 3
+    p, l = p[l >= 3], l[l >= 3]  # l < 3 leaves no k with d >= 2
+
+    lo, hi = np.ones_like(l), l - 2
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        # f(k+1) < f(k): the minimiser lies right of mid; a converged row compares f(hi) with itself
+        down = _gamma_at(p, l, np.minimum(mid + 1, hi)) < _gamma_at(p, l, mid)
+        lo, hi = np.where(down, mid + 1, lo), np.where(down, hi, mid)
+    k = np.clip(lo[:, None] + np.arange(-WINDOW, WINDOW + 1), 1, (l - 2)[:, None])
+    g = _gamma_at(p[:, None], l[:, None], k)
+    best = np.argmin(g, axis=1)  # first occurrence: smallest k on ties
+    rows = np.arange(len(p))
+    k, g = k[rows, best], g[rows, best]
+    return [
+        OverheadRecord(p=pi, l=li, k=ki, n=pi - ki, d=li - ki, gamma=gi)
+        for pi, li, ki, gi in zip(p.tolist(), l.tolist(), k.tolist(), g.tolist())
+    ]
 
 
 def gamma_scaling_check(records: Sequence[OverheadRecord]):

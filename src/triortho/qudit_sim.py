@@ -3,7 +3,8 @@
 A state keeps the basis labels of its support, rows of n base-p digits (qudit
 0 first) in lexicographic order, one amplitude each; every other label has
 amplitude 0.  An encoded |u> takes the p^rank(H0) words of its coset, not p^n
-amplitudes.  Everything here is double precision; exact phase arithmetic
+amplitudes: span(H0) is enumerated once per code and shifted by u·H1 for
+each u.  Everything here is double precision; exact phase arithmetic
 lives in the gates module, and the end-to-end check compares the two as
 independent implementations of the same transversal-gate action.
 """
@@ -17,7 +18,7 @@ import numpy as np
 
 from .fplinalg import FpVector, PrimeModulus, matmul_mod, powers_mod, rref
 from .gates import GateSpec, _coefficients, gate_phase, phase_identity_sweep
-from .triortho_css import TriorthogonalCode, encoded_state_support
+from .triortho_css import TriorthogonalCode, encoded_state_support, stabilizer_words
 
 __all__ = [
     "STATE_CAP",
@@ -102,12 +103,17 @@ class QuditState:
         return complex(real, math.fsum(np.concatenate([a.real * b.imag, -(a.imag * b.real)])))
 
 
+def _encoder(code: TriorthogonalCode, k: int):
+    """u -> encoded |u>, once p^k such states are known to fit STATE_CAP; span(H0) is enumerated once."""
+    _check_cap(code, k)
+    stabilizers = stabilizer_words(code)
+    amp = np.full(len(stabilizers), 1.0 / np.sqrt(len(stabilizers)), dtype=np.complex128)
+    return lambda u: QuditState(code.modulus, code.n, encoded_state_support(code, u, stabilizers), amp)
+
+
 def encode(code: TriorthogonalCode, u: FpVector) -> QuditState:
     """Uniform superposition over the coset u·H1 + span(H0)."""
-    _check_cap(code, 0)
-    labels = encoded_state_support(code, u)
-    amp = np.full(len(labels), 1.0 / np.sqrt(len(labels)), dtype=np.complex128)
-    return QuditState(code.modulus, code.n, labels, amp)
+    return _encoder(code, 0)(u)
 
 
 def apply_transversal_diagonal(state: QuditState, g: GateSpec) -> QuditState:
@@ -167,7 +173,7 @@ def verify_transversal_action(code: TriorthogonalCode, g: GateSpec, tol: float =
     """
     if g.p != code.p:
         raise ValueError("gate and code moduli disagree")
-    _check_cap(code, code.k)
+    encode_u = _encoder(code, code.k)
     count = code.p**code.k
     coeffs = _coefficients(0, count, code.k, code.p)
     claimed_all = _claimed_numerators(code, g, coeffs)
@@ -178,7 +184,7 @@ def verify_transversal_action(code: TriorthogonalCode, g: GateSpec, tol: float =
     failures = []
     for row, claimed, exact in zip(coeffs, claimed_all.tolist(), exact_all.tolist()):
         u = FpVector(code.modulus, row)
-        base = encode(code, u)
+        base = encode_u(u)
         s1 = apply_transversal_diagonal(base, g)
         predicted = np.exp(2j * np.pi * claimed / denom)
         deviation = float(abs(1.0 - np.conj(predicted) * base.inner(s1)))

@@ -61,6 +61,7 @@ __all__ = [
     "build_code",
     "code_from_matrix",
     "validate_code",
+    "stabilizer_words",
     "encoded_state_support",
     "to_descriptor",
     "from_descriptor",
@@ -285,15 +286,20 @@ def validate_code(code: TriorthogonalCode) -> dict:
     return {"passed": all(c["passed"] for c in checks), "checks": checks}
 
 
-def encoded_state_support(code: TriorthogonalCode, u: FpVector) -> np.ndarray:
-    """Basis labels of the encoded |u>: the coset u·H1 + span(H0), one int64 row per word."""
+def stabilizer_words(code: TriorthogonalCode) -> np.ndarray:
+    """Every word of span(H0), one int64 row each: the basis labels of the encoded |0>."""
+    basis, _ = _span_basis(code.H0)
+    return np.concatenate([block for _, block in _SpanEnumerator(basis, code.p).blocks()])
+
+
+def encoded_state_support(code: TriorthogonalCode, u: FpVector, stabilizers: np.ndarray) -> np.ndarray:
+    """Basis labels of the encoded |u>: the coset u·H1 + span(H0), one int64 row per word.
+
+    `stabilizers` is stabilizer_words(code), enumerated once and shared by every u.
+    """
     if len(u) != code.k or u.p != code.p:
         raise ValueError(f"u must be a length-{code.k} vector mod {code.p}")
-    p = code.p
-    base = matmul_mod(u.array, code.H1.array, p)
-    basis, _ = _span_basis(code.H0)
-    words = np.concatenate([block for _, block in _SpanEnumerator(basis, p).blocks()])
-    return (words + base) % p
+    return (stabilizers + matmul_mod(u.array, code.H1.array, code.p)) % code.p
 
 
 def to_descriptor(code: TriorthogonalCode) -> dict:

@@ -235,7 +235,9 @@ def test_simulate_reaches_codes_past_the_dense_cap(capsys):
 
 def test_simulate_cap_counts_logical_states(capsys, monkeypatch):
     # rank H0 = 1, so one coset fits; the 31^9 logical states do not
-    monkeypatch.setattr("triortho.qudit_sim.encode", lambda code, u: pytest.fail("state built past the cap"))
+    monkeypatch.setattr(
+        "triortho.qudit_sim.encoded_state_support", lambda *args: pytest.fail("state built past the cap")
+    )
     exit_code, _, err = run(capsys, "simulate", "--p", "31", "--l", "10", "--k", "9")
     assert exit_code == 4
     assert "exceeds" in err

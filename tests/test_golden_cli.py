@@ -5,8 +5,10 @@ underneath cannot silently move a descriptor (G is a kernel basis), a
 verify report or a witness.  They were recorded before the F_p kernel was
 consolidated (the (17,6,3) and p=701 constructs before the distance routes
 and the span enumerator were reworked, the clean verify reports, the
-distance table and the audit before the three distance routers became one);
-a deliberate output change must re-record them and say why.
+distance table and the audit before the three distance routers became one,
+the search output and the selftest gamma lines before the per-prime scan over
+k became a bisection); a deliberate output change must re-record them and say
+why.
 """
 
 import hashlib
@@ -14,6 +16,7 @@ import json
 
 import pytest
 
+from triortho.acceptance import format_report
 from triortho.cli import main
 from triortho.fplinalg import is_prime
 from triortho.reed_solomon import audit_distance_formula
@@ -41,6 +44,17 @@ GOLDEN = {
         "9f48ef0351dbe0842d3e134a3f2f64dfa4cc96c52c311ab852bcc4fe2dd3f3b8",
         0,
     ),
+    # the largest search the CLI accepts, in both formats: 9,588 records
+    "search-100000-csv": (
+        ["search", "--pmax", "100000"],
+        "c0a35ce20b3df28ae59b35aa1ace60e3698a1324bebeef5d6c3cf4339641f31a",
+        0,
+    ),
+    "search-100000-json": (
+        ["search", "--pmax", "100000", "--format", "json"],
+        "d21a9811abb4aa27b1580a7784698f0a0a9d1734ec6f1e7b196c67c98a54123e",
+        0,
+    ),
 }
 TAMPERED_13_4_1 = ("1421cd9353011ef8f533409e9b5c61aa8f0f9f61116e57169f6c69855ee3d643", 1)
 # simulate's max_deviation is a rounding residue whose last digits move with the
@@ -57,6 +71,8 @@ VERIFY_CLEAN = {
 # end puncture sets, at budgets on each side of the route switches: 288 builds
 DISTANCE_TABLE = "094dfa4c5fc8f7c29c987d3fb1c7cece111aa3bb05425985670f380897d86adb"
 AUDIT_23 = "09dc85ab1ae43d4d0c3394e2bd8fe26bbe5982037e2f16e1e72a22e2f737ab1e"
+# selftest's lines for the gamma criteria 1, 3 (search to 100) and 9 (search to 10^4)
+SELFTEST_GAMMA_LINES = "dd1ebd5c121da22aa195868166a18788b8be448546fb4ddb4db44dc1addbefde"
 
 
 def sha256(text):
@@ -119,3 +135,8 @@ def test_build_code_distance_table_is_golden():
 
 def test_distance_audit_is_golden():
     assert sha256(json.dumps(audit_distance_formula(23, budget=10**6), sort_keys=True)) == AUDIT_23
+
+
+def test_selftest_gamma_lines_are_golden(acceptance_results):
+    lines = format_report([acceptance_results[i - 1] for i in (1, 3, 9)])
+    assert sha256(lines) == SELFTEST_GAMMA_LINES

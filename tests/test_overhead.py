@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from triortho.overhead import (
@@ -89,6 +90,43 @@ def test_search_matches_full_grid():
         r = recs[p]
         assert (r.l, r.k) == (best[1], best[2]), p
         assert r.gamma == pytest.approx(best[0], abs=1e-12)
+
+
+def full_scan(p_max):
+    """Oracle: gamma at every k in 1..l-2, l = floor((p+1)/3), first argmin per prime."""
+    records = []
+    for p in primes_up_to(p_max):
+        l = (p + 1) // 3
+        if l < 3:
+            continue  # no k gives d >= 2
+        k = np.arange(1, l - 1, dtype=np.float64)
+        g = np.log((p - k) / k) / np.log(l - k)
+        best = int(np.argmin(g)) + 1
+        records.append(OverheadRecord(p, l, best, p - best, l - best, float(g[best - 1])))
+    return records
+
+
+def test_search_equals_full_scan_for_every_accepted_prime():
+    # a prime's record does not depend on p_max, and p_max <= 10^5 is enforced,
+    # so equality here covers every search the CLI accepts
+    recs, oracle = search_best_gamma(10**5), full_scan(10**5)
+    assert len(recs) == len(oracle) == 9588
+    for r, o in zip(recs, oracle):
+        assert (r.p, r.l, r.k, r.n, r.d) == (o.p, o.l, o.k, o.n, o.d)
+        assert r.gamma == o.gamma, r.p  # bit for bit, not approx
+
+
+@pytest.mark.parametrize("p_max", [0, 1, 2, 7, 10, 11, 13])
+def test_search_small_bounds_and_types(p_max):
+    recs = search_best_gamma(p_max)
+    assert recs == full_scan(p_max)
+    # no prime below 11 has l = floor((p+1)/3) >= 3, and none has l = 3 (p would be 8, 9 or 10),
+    # so the narrowest range is l = 4 at p = 11 and 13: k in {1, 2}, clipped from both sides
+    assert [r.p for r in recs] == [p for p in (11, 13) if p <= p_max]
+    for r in recs:
+        assert r.l == 4
+        assert all(type(v) is int for v in (r.p, r.l, r.k, r.n, r.d))
+        assert type(r.gamma) is float  # a numpy scalar would print np.float64(...) in to_csv
 
 
 def test_search_cap():

@@ -127,7 +127,7 @@ def test_max_deviation_ignores_support_row_order(monkeypatch):
     rng = np.random.default_rng(3)
     support = qudit_sim.encoded_state_support
     monkeypatch.setattr(
-        qudit_sim, "encoded_state_support", lambda code, u: rng.permutation(support(code, u))
+        qudit_sim, "encoded_state_support", lambda *args: rng.permutation(support(*args))
     )
     assert verify_transversal_action(code, third_level_gate(7))["max_deviation"] == plain
 
@@ -288,7 +288,9 @@ def test_verify_cap_and_gate_validation(monkeypatch):
     # 13^(1 + 3) labels of 12 digits fit; (41,12,6) needs 41^12 labels of 35 digits
     assert verify_transversal_action(build_code(13, 4, 1), third_level_gate(13))["failures"] == []
     big = build_code(41, 12, 6)
-    monkeypatch.setattr(qudit_sim, "encode", lambda code, u: pytest.fail("state built past the cap"))
+    monkeypatch.setattr(
+        qudit_sim, "encoded_state_support", lambda *args: pytest.fail("state built past the cap")
+    )
     with pytest.raises(ResourceCapError):
         verify_transversal_action(big, third_level_gate(41))
     code = build_code(7, 2, 1)

@@ -26,6 +26,7 @@ from triortho.triortho_css import (
     encoded_state_support,
     from_descriptor,
     partition_rows,
+    stabilizer_words,
     systematic_puncture,
     to_descriptor,
     validate_code,
@@ -143,7 +144,7 @@ def test_encoded_state_support():
     code = build_code(7, 2, 1)
 
     def words(u):
-        labels = encoded_state_support(code, FpVector(7, [u]))
+        labels = encoded_state_support(code, FpVector(7, [u]), stabilizer_words(code))
         assert labels.shape == (7, code.n) and labels.dtype == np.int64
         return {tuple(row) for row in labels.tolist()}
 
@@ -159,9 +160,9 @@ def test_encoded_state_support():
 def test_encoded_state_support_validates_input():
     code = build_code(7, 2, 1)
     with pytest.raises(ValueError):
-        encoded_state_support(code, FpVector(7, [1, 0]))
+        encoded_state_support(code, FpVector(7, [1, 0]), stabilizer_words(code))
     with pytest.raises(ValueError):
-        encoded_state_support(code, FpVector(5, [1]))
+        encoded_state_support(code, FpVector(5, [1]), stabilizer_words(code))
 
 
 def test_descriptor_round_trip():
