@@ -153,10 +153,6 @@ class FpVector:
     def tolist(self) -> list:
         return self._a.tolist()
 
-    def weight(self) -> int:
-        """Hamming weight."""
-        return int(np.count_nonzero(self._a))
-
 
 class FpMatrix:
     """Immutable rectangular matrix over F_p (rows share one modulus)."""
@@ -212,9 +208,6 @@ class FpMatrix:
 
     def row(self, i: int) -> FpVector:
         return FpVector(self.modulus, self._a[i])
-
-    def rows(self) -> list:
-        return [self.row(i) for i in range(self.nrows)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FpMatrix):

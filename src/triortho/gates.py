@@ -4,13 +4,19 @@ The gate U_{m,a} multiplies |j> by exp(2 pi i j^a / p^m).  Applied
 transversally to an encoded state, the phase collected by a basis word f is
 a cubic (p >= 5) or lifted-linear (p = 3) sum over its entries; the
 identities verified here reduce that word-wise sum to a per-logical-qudit
-sum weighted by the cubic weights of the H1 rows.  All arithmetic is exact
-integer work — complex numbers only appear in the state-vector simulator.
+sum weighted by the cubic weights of the H1 rows.  One sweep checks them
+for every prime, a block of coefficient vectors at a time, with a mod-p
+cubic kernel (p >= 5) or a mod-9 lifted-sum kernel (p = 3).  The qutrit
+code search assembles rows from full-support motifs on disjoint supports.
+All arithmetic is exact integer work — complex numbers only appear in the
+state-vector simulator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -113,18 +119,28 @@ def _coefficients(start: int, stop: int, rows: int, p: int) -> np.ndarray:
     return coeffs
 
 
-def _cubic_numerators(A: np.ndarray, eps: np.ndarray, coeffs: np.ndarray, p: int) -> np.ndarray:
-    """sum_i (u·H)_i^3 mod p for each coefficient row u, checked against sum_a u_a^3 eps_a."""
-    lhs = power_sums(matmul_mod(coeffs, A, p), 3, p)
-    rhs = matmul_mod(powers_mod(coeffs, 3, p), eps, p)
+def _checked(lhs: np.ndarray, rhs: np.ndarray, coeffs: np.ndarray, name: str, power: str, modulus: int) -> np.ndarray:
+    """lhs, once it equals rhs row for row; else PhaseIdentityError at the first row u where they differ."""
     bad = np.flatnonzero(lhs != rhs)
     if bad.size:
         i = bad[0]
         raise PhaseIdentityError(
-            f"cubic phase identity fails for u={coeffs[i].tolist()}: "
-            f"sum f^3 = {lhs[i]} but sum u^3 eps = {rhs[i]} (mod {p})"
+            f"{name} phase identity fails for u={coeffs[i].tolist()}: "
+            f"sum f{power} = {lhs[i]} but sum u{power} eps = {rhs[i]} (mod {modulus})"
         )
     return lhs
+
+
+def _cubic_numerators(A: np.ndarray, eps: np.ndarray, coeffs: np.ndarray, p: int) -> np.ndarray:
+    """sum_i (u·H)_i^3 mod p for each coefficient row u, checked against sum_a u_a^3 eps_a."""
+    lhs = power_sums(matmul_mod(coeffs, A, p), 3, p)
+    return _checked(lhs, matmul_mod(powers_mod(coeffs, 3, p), eps, p), coeffs, "cubic", "^3", p)
+
+
+def _mod9_numerators(A: np.ndarray, eps9: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_i (u·H)_i mod 9, entries lifted from F_3, for each coefficient row u; checked against sum_a u_a eps9_a."""
+    lhs = matmul_mod(coeffs, A, 3).sum(axis=-1) % 9
+    return _checked(lhs, coeffs @ eps9 % 9, coeffs, "qutrit", "", 9)
 
 
 def cubic_phase_sum(H: FpMatrix, u: FpVector) -> PhaseExponent:
@@ -177,24 +193,17 @@ def ternary_mod9_sum(values) -> int:
 def p3_phase_sum(H: FpMatrix, u: FpVector) -> PhaseExponent:
     """Both sides of the qutrit identity sum_i f_i = sum_a u_a eps_a (mod 9).
 
-    Entries of f = u·H (mod 3) are lifted to integers and summed mod 9
-    through the ternary-digit formula; eps_a is the plain integer sum of the
-    lifted row a, reduced mod 9.  Raises PhaseIdentityError on mismatch.
+    Entries of f = u·H (mod 3) are lifted to integers and summed mod 9;
+    eps_a is the plain integer sum of the lifted row a, reduced mod 9.  This
+    is the sweep's kernel on one row (ternary_mod9_sum gives the same sum
+    from ternary digits alone).  Raises PhaseIdentityError on mismatch.
     """
     if H.p != 3 or u.p != 3:
         raise ValueError("p3_phase_sum is specific to F_3")
     if len(u) != H.nrows:
         raise ValueError(f"u must have one coefficient per row of H ({H.nrows})")
-    f = matmul_mod(u.array, H.array, 3)
-    lhs = ternary_mod9_sum(int(x) for x in f)
-    eps9 = [int(H.array[a].sum()) % 9 for a in range(H.nrows)]
-    rhs = sum(int(ua) * e for ua, e in zip(u, eps9)) % 9
-    if lhs != rhs:
-        raise PhaseIdentityError(
-            f"qutrit phase identity fails for u={u.tolist()}: "
-            f"sum f = {lhs} but sum u eps = {rhs} (mod 9)"
-        )
-    return PhaseExponent(lhs, 9)
+    lhs = _mod9_numerators(H.array, H.array.sum(axis=1) % 9, u.array[None, :])
+    return PhaseExponent(int(lhs[0]), 9)
 
 
 _SWEEP_ENTRIES = 1 << 15  # most entries of u·H held at once by the sweep
@@ -205,82 +214,68 @@ def phase_identity_sweep(H: FpMatrix, count: int) -> np.ndarray:
 
     The vectors come in odometer order, u_r = (index // p^r) % p, so with the
     logical rows first the first p^k of them are the zero-padded logical
-    labels.  At p >= 5 the numerators are sum_i (u·H)_i^3 mod p, taken in
-    blocks of at most 2^15 entries of u·H; at p = 3 they are p3_phase_sum's,
-    mod 9, one vector at a time (3^rows stays small).  Raises
-    PhaseIdentityError at the first u where the identity fails.
+    labels.  The numerators are sum_i (u·H)_i^3 mod p at p >= 5 and
+    p3_phase_sum's lifted sums mod 9 at p = 3, both taken in blocks of at
+    most 2^15 entries of u·H.  Raises PhaseIdentityError at the first u where
+    the identity fails.
     """
     p, rows = H.p, H.nrows
     if not 0 <= count <= p**rows:
         raise ValueError(f"count must lie in [0, {p}^{rows}], got {count}")
     if p == 3:
-        return np.array(
-            [p3_phase_sum(H, FpVector(H.modulus, u)).numerator for u in _coefficients(0, count, rows, p)],
-            dtype=np.int64,
-        )
-    if p < 5:
+        numerators = partial(_mod9_numerators, H.array, H.array.sum(axis=1) % 9)
+    elif p >= 5:
+        numerators = partial(_cubic_numerators, H.array, power_sums(H.array, 3, p), p=p)
+    else:
         raise ValueError(f"no cubic phase identity at p = {p}")
-    eps = power_sums(H.array, 3, p)
     step = max(1, _SWEEP_ENTRIES // max(H.ncols, rows, 1))
     out = np.empty(count, dtype=np.int64)
     for start in range(0, count, step):
         stop = min(start + step, count)
-        out[start:stop] = _cubic_numerators(H.array, eps, _coefficients(start, stop, rows, p), p)
+        out[start:stop] = numerators(_coefficients(start, stop, rows, p))
     return out
 
 
-def _p3_logical_motifs(max_len: int):
-    """Full-support candidate rows v with square weight != 0 whose multiples
-    satisfy the mod-9 identity on their own support."""
+def _p3_motifs(max_len: int, logical: bool) -> list:
+    """Full-support candidate rows v, shortest first, that keep the mod-9 identity on their own support.
+
+    Each multiple c·v (c = 1, 2) must have lifted sum c·eps mod 9.  Logical
+    rows have square weight != 0 and eps = sum v; stabilizer rows have square
+    weight 0 and eps = 0, so coset shifts never move the phase.  Rows of one
+    length come in base-3 counting order, digit 0 least significant.
+    """
     out = []
     for length in range(1, max_len + 1):
-        for digits in range(3**length):
-            v = tuple((digits // 3**i) % 3 for i in range(length))
-            if 0 in v:
+        for digits in product((1, 2), repeat=length):
+            v = digits[::-1]
+            if (sum(x * x for x in v) % 3 != 0) != logical:
                 continue
-            if sum(x * x for x in v) % 3 == 0:
-                continue
-            eps = sum(v) % 9
-            if all(sum((c * x) % 3 for x in v) % 9 == c * eps % 9 for c in (1, 2)):
+            eps = sum(v) % 9 if logical else 0
+            if all(sum(c * x % 3 for x in v) % 9 == c * eps % 9 for c in (1, 2)):
                 out.append(v)
-    return out
-
-
-def _p3_stabilizer_motifs(max_len: int):
-    """Full-support candidate rows w with square weight 0 whose every multiple
-    has integer sum 0 mod 9 (so coset shifts never move the phase)."""
-    out = []
-    for length in range(1, max_len + 1):
-        for digits in range(3**length):
-            w = tuple((digits // 3**i) % 3 for i in range(length))
-            if 0 in w:
-                continue
-            if sum(x * x for x in w) % 3 != 0:
-                continue
-            if all(sum((c * x) % 3 for x in w) % 9 == 0 for c in (1, 2)):
-                out.append(w)
     return out
 
 
 def find_p3_code(max_cols: int = 14, logical_rows: int = 2, stabilizer_rows: int = 1):
     """Deterministic search for a qutrit code satisfying the mod-9 gate identity.
 
-    Assembles rows from disjoint-support motifs (pair and triple star
-    products then vanish automatically), smallest total length first, and
-    keeps the first assembly whose identity verifies exhaustively over every
-    coefficient vector u in F_3^rows.  Returns the assembled TriorthogonalCode.
+    Assembles rows from full-support motifs on disjoint supports (pair and
+    triple star products then vanish automatically), smallest total length
+    first, and keeps the first assembly whose identity verifies exhaustively
+    over every coefficient vector u in F_3^rows.  Returns the assembled
+    TriorthogonalCode.
     """
     from .triortho_css import code_from_matrix
 
     if logical_rows < 1 or stabilizer_rows < 1:
         raise ValueError("need at least one logical and one stabilizer row")
-    log_motifs = _p3_logical_motifs(max_len=4)
-    stab_motifs = _p3_stabilizer_motifs(max_len=min(9, max_cols))
+    log_motifs = _p3_motifs(4, logical=True)
+    stab_motifs = _p3_motifs(min(9, max_cols), logical=False)
     rows_total = logical_rows + stabilizer_rows
     best = None
-    for logs in _choices(log_motifs, logical_rows):
-        for stabs in _choices(stab_motifs, stabilizer_rows):
-            motifs = list(logs) + list(stabs)
+    for logs in product(log_motifs, repeat=logical_rows):
+        for stabs in product(stab_motifs, repeat=stabilizer_rows):
+            motifs = logs + stabs
             n = sum(len(v) for v in motifs)
             if n > max_cols or (best is not None and n >= best[0]):
                 continue
@@ -300,13 +295,3 @@ def find_p3_code(max_cols: int = 14, logical_rows: int = 2, stabilizer_rows: int
     if best is None:
         raise ValueError(f"no qutrit code with the mod-9 identity found within {max_cols} columns")
     return code_from_matrix(3, best[1])
-
-
-def _choices(pool, count):
-    """All ordered selections with repetition, lexicographic in the pool order."""
-    if count == 0:
-        yield ()
-        return
-    for head in pool:
-        for tail in _choices(pool, count - 1):
-            yield (head,) + tail

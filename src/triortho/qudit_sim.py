@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fplinalg import FpVector, PrimeModulus, matmul_mod, powers_mod, rref
+from .fplinalg import FpVector, PrimeModulus, _span_basis, _SpanEnumerator, matmul_mod, powers_mod
 from .gates import GateSpec, _coefficients, gate_phase, phase_identity_sweep
-from .triortho_css import TriorthogonalCode, encoded_state_support, stabilizer_words
+from .triortho_css import TriorthogonalCode, encoded_state_support
 
 __all__ = [
     "STATE_CAP",
@@ -36,15 +36,6 @@ STATE_CAP = 2**24  # hard limit on the label digits held: rows times n
 
 class ResourceCapError(Exception):
     """The requested states exceed the simulation cap."""
-
-
-def _check_cap(code: TriorthogonalCode, k: int) -> None:
-    """Refuse p^k encoded states whose labels together pass STATE_CAP digits, before any is built."""
-    _, rank_h0, _ = rref(code.H0)
-    size = code.p ** (k + rank_h0) * code.n
-    if size > STATE_CAP:
-        limit = f"p^(k + rank H0) * n = {code.p}^{k + rank_h0} * {code.n} = {size}"
-        raise ResourceCapError(f"{limit} exceeds the cap {STATE_CAP} on label digits")
 
 
 @dataclass(frozen=True)
@@ -104,9 +95,18 @@ class QuditState:
 
 
 def _encoder(code: TriorthogonalCode, k: int):
-    """u -> encoded |u>, once p^k such states are known to fit STATE_CAP; span(H0) is enumerated once."""
-    _check_cap(code, k)
-    stabilizers = stabilizer_words(code)
+    """u -> encoded |u>, once p^k such states are known to fit STATE_CAP.
+
+    One elimination of H0 gives the cap its rank and the enumeration its
+    basis; span(H0) is enumerated once, after the cap is checked, and shared
+    by every u.
+    """
+    basis, _ = _span_basis(code.H0)
+    size = code.p ** (k + len(basis)) * code.n
+    if size > STATE_CAP:
+        limit = f"p^(k + rank H0) * n = {code.p}^{k + len(basis)} * {code.n} = {size}"
+        raise ResourceCapError(f"{limit} exceeds the cap {STATE_CAP} on label digits")
+    stabilizers = np.concatenate([block for _, block in _SpanEnumerator(basis, code.p).blocks()])
     amp = np.full(len(stabilizers), 1.0 / np.sqrt(len(stabilizers)), dtype=np.complex128)
     return lambda u: QuditState(code.modulus, code.n, encoded_state_support(code, u, stabilizers), amp)
 

@@ -40,8 +40,6 @@ from .fplinalg import (
     FpVector,
     MatrixFormatError,
     PrimeModulus,
-    _span_basis,
-    _SpanEnumerator,
     coset_min_weight,
     inv_mod,
     kernel_basis,
@@ -61,7 +59,6 @@ __all__ = [
     "build_code",
     "code_from_matrix",
     "validate_code",
-    "stabilizer_words",
     "encoded_state_support",
     "to_descriptor",
     "from_descriptor",
@@ -200,7 +197,7 @@ def build_code(p, l: int, k: int, A=None, budget: int = DEFAULT_BUDGET) -> Trior
     gen = rs_generator(modulus, l)
     H1, H0 = systematic_puncture(gen, spec.A)
     part0, part1 = partition_rows(H1.stack(H0))
-    if part1.tolist() != H1.tolist() or part0.tolist() != H0.tolist():
+    if part1 != H1 or part0 != H0:
         raise AssertionError("square-weight partition disagrees with systematic form")
     code = _assemble(modulus, l, spec.A, H0, H1, budget, claimed=l - k)
     if any(e != 1 for e in code.epsilon):
@@ -286,16 +283,11 @@ def validate_code(code: TriorthogonalCode) -> dict:
     return {"passed": all(c["passed"] for c in checks), "checks": checks}
 
 
-def stabilizer_words(code: TriorthogonalCode) -> np.ndarray:
-    """Every word of span(H0), one int64 row each: the basis labels of the encoded |0>."""
-    basis, _ = _span_basis(code.H0)
-    return np.concatenate([block for _, block in _SpanEnumerator(basis, code.p).blocks()])
-
-
 def encoded_state_support(code: TriorthogonalCode, u: FpVector, stabilizers: np.ndarray) -> np.ndarray:
     """Basis labels of the encoded |u>: the coset u·H1 + span(H0), one int64 row per word.
 
-    `stabilizers` is stabilizer_words(code), enumerated once and shared by every u.
+    `stabilizers` holds every word of span(H0), one int64 row each: the labels of
+    the encoded |0>, enumerated once and shared by every u.
     """
     if len(u) != code.k or u.p != code.p:
         raise ValueError(f"u must be a length-{code.k} vector mod {code.p}")
@@ -328,7 +320,11 @@ def _require(cond: bool, message: str):
 
 
 def from_descriptor(data) -> TriorthogonalCode:
-    """Parse the interchange form; structural validation only, no re-derivation."""
+    """Parse the interchange form; structural validation only, no re-derivation.
+
+    Every integer field must be exactly an int: JSON's true and false parse to
+    bools, which isinstance(_, int) would take as the residues 1 and 0.
+    """
     if isinstance(data, (str, bytes)):
         try:
             data = json.loads(data)
@@ -337,7 +333,7 @@ def from_descriptor(data) -> TriorthogonalCode:
     _require(isinstance(data, dict), "descriptor must be a JSON object")
     for key in ("p", "l", "k", "A", "H0", "H1", "G", "epsilon", "params"):
         _require(key in data, f"descriptor missing field {key!r}")
-    _require(isinstance(data["p"], int), "p must be an integer")
+    _require(type(data["p"]) is int, "p must be an integer")
     try:
         modulus = PrimeModulus(data["p"])
     except (ValueError, TypeError) as exc:
@@ -347,13 +343,13 @@ def from_descriptor(data) -> TriorthogonalCode:
     for key in ("n", "k", "d", "d_verified"):
         _require(key in params, f"params missing field {key!r}")
     n, k, d = params["n"], params["k"], params["d"]
-    _require(isinstance(n, int) and n >= 1, "params.n must be a positive integer")
-    _require(isinstance(k, int) and k >= 0, "params.k must be a non-negative integer")
-    _require(isinstance(d, int) and d >= 0, "params.d must be a non-negative integer")
+    _require(type(n) is int and n >= 1, "params.n must be a positive integer")
+    _require(type(k) is int and k >= 0, "params.k must be a non-negative integer")
+    _require(type(d) is int and d >= 0, "params.d must be a non-negative integer")
     _require(isinstance(params["d_verified"], bool), "params.d_verified must be a boolean")
-    _require(data["k"] == k, "top-level k disagrees with params.k")
+    _require(type(data["k"]) is int and data["k"] == k, "top-level k disagrees with params.k")
     l = data["l"]
-    _require(l is None or (isinstance(l, int) and 1 <= l <= modulus.p), "l must be null or in [1, p]")
+    _require(l is None or (type(l) is int and 1 <= l <= modulus.p), "l must be null or in [1, p]")
 
     def matrix(key, expected_rows=None):
         raw = data[key]
@@ -362,7 +358,7 @@ def from_descriptor(data) -> TriorthogonalCode:
             _require(
                 isinstance(row, list)
                 and len(row) == n
-                and all(isinstance(x, int) and 0 <= x < modulus.p for x in row),
+                and all(type(x) is int and 0 <= x < modulus.p for x in row),
                 f"{key} rows must be length-{n} lists of canonical residues",
             )
         if expected_rows is not None:
@@ -376,12 +372,12 @@ def from_descriptor(data) -> TriorthogonalCode:
     G = matrix("G")
     eps = data["epsilon"]
     _require(
-        isinstance(eps, list) and len(eps) == k and all(isinstance(x, int) and 0 <= x < modulus.p for x in eps),
+        isinstance(eps, list) and len(eps) == k and all(type(x) is int and 0 <= x < modulus.p for x in eps),
         "epsilon must be a length-k list of canonical residues",
     )
     A = data["A"]
     _require(
-        isinstance(A, list) and all(isinstance(a, int) and 0 <= a < modulus.p for a in A) and len(set(A)) == len(A),
+        isinstance(A, list) and all(type(a) is int and 0 <= a < modulus.p for a in A) and len(set(A)) == len(A),
         "A must be a list of distinct positions in [0, p)",
     )
     return TriorthogonalCode(

@@ -122,6 +122,20 @@ def test_verify_tampered_epsilon(capsys, tmp_path):
     assert "cubic_weights" in failed
 
 
+def test_boolean_entry_is_format_error(capsys, tmp_path):
+    # a JSON true where G holds a 1 is not a residue, though Python's True == 1
+    target = tmp_path / "code.json"
+    assert main(["construct", "--p", "7", "--l", "2", "--k", "1", "--output", str(target)]) == 0
+    data = json.loads(target.read_text())
+    row = next(row for row in data["G"] if 1 in row)
+    row[row.index(1)] = True
+    target.write_text(json.dumps(data))
+    for command in ("verify", "simulate"):
+        exit_code, out, err = run(capsys, command, "--input", str(target))
+        assert (exit_code, out) == (3, "")
+        assert "canonical residues" in err
+
+
 @pytest.mark.parametrize("plk", [(7, 2, 1), (13, 4, 1)])
 def test_verify_reports_an_empty_logical_coset(capsys, tmp_path, plk):
     # H1 replaced by a stabilizer row: no logical Z word is left.  (7,2,1) finds

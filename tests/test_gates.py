@@ -1,5 +1,6 @@
 """Phase gates, the level-3 gate, and the exact phase-sum identities."""
 
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -274,6 +275,112 @@ def test_sweep_at_p3_agrees_with_p3_phase_sum():
     with pytest.raises(PhaseIdentityError) as single:
         p3_phase_sum(FpMatrix.from_rows(3, [[2]]), FpVector(3, [2]))
     assert str(swept.value) == str(single.value)
+
+
+def per_vector_p3_phase_sum(H, u):
+    # the qutrit identity one vector at a time, summed mod 9 from ternary digits
+    f = FpVector(3, u.array @ H.array % 3)
+    lhs = ternary_mod9_sum(int(x) for x in f)
+    eps9 = [int(H.array[a].sum()) % 9 for a in range(H.nrows)]
+    rhs = sum(int(ua) * e for ua, e in zip(u, eps9)) % 9
+    if lhs != rhs:
+        raise PhaseIdentityError(
+            f"qutrit phase identity fails for u={u.tolist()}: sum f = {lhs} but sum u eps = {rhs} (mod 9)"
+        )
+    return lhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 4),
+    ncols=st.integers(1, 15),
+    step=st.integers(1, 16),
+    extra=st.integers(0, 40),
+    planted=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sweep_at_p3_matches_per_vector_oracle(rows, ncols, step, extra, planted, seed):
+    rng = np.random.default_rng(seed)
+    A = disjoint_rows(rng, 3, rows, ncols)
+    if not planted:
+        # a row on its own support keeps the identity when its count of 2s is a multiple of 3
+        for row in A:
+            twos = np.flatnonzero(row == 2)
+            row[twos[: twos.size % 3]] = 1
+    elif rows > 1:
+        A[:2, 0] = rng.integers(1, 3, size=2)  # one shared entry couples rows 0 and 1
+    H = FpMatrix(3, A)
+    count = min(3**rows, 3 * step + extra)
+    expected, failure = [], None
+    for u in odometer(count, rows, 3):
+        try:
+            expected.append(per_vector_p3_phase_sum(H, FpVector(3, u)))
+        except PhaseIdentityError as exc:
+            failure = str(exc)
+            with pytest.raises(PhaseIdentityError) as single:
+                p3_phase_sum(H, FpVector(3, u))
+            assert str(single.value) == failure
+            break
+        assert p3_phase_sum(H, FpVector(3, u)).numerator == expected[-1]
+    if not planted:
+        assert failure is None
+    with mock.patch.object(gates, "_SWEEP_ENTRIES", step * ncols):
+        if failure is None:
+            assert phase_identity_sweep(H, count).tolist() == expected
+        else:
+            with pytest.raises(PhaseIdentityError) as excinfo:
+                phase_identity_sweep(H, count)
+            assert str(excinfo.value) == failure
+
+
+def logical_motifs_by_counting(max_len):
+    # every base-3 digit tuple, digit 0 least significant, keeping full-support rows
+    # with square weight != 0 whose multiples satisfy the identity on their own support
+    out = []
+    for length in range(1, max_len + 1):
+        for digits in range(3**length):
+            v = tuple((digits // 3**i) % 3 for i in range(length))
+            if 0 in v or sum(x * x for x in v) % 3 == 0:
+                continue
+            eps = sum(v) % 9
+            if all(sum((c * x) % 3 for x in v) % 9 == c * eps % 9 for c in (1, 2)):
+                out.append(v)
+    return out
+
+
+def stabilizer_motifs_by_counting(max_len):
+    # as above, for square weight 0 and every multiple summing to 0 mod 9
+    out = []
+    for length in range(1, max_len + 1):
+        for digits in range(3**length):
+            w = tuple((digits // 3**i) % 3 for i in range(length))
+            if 0 in w or sum(x * x for x in w) % 3 != 0:
+                continue
+            if all(sum((c * x) % 3 for x in w) % 9 == 0 for c in (1, 2)):
+                out.append(w)
+    return out
+
+
+def choices(pool, count):
+    # ordered selections with repetition, lexicographic in the pool order
+    if count == 0:
+        yield ()
+        return
+    for head in pool:
+        for tail in choices(pool, count - 1):
+            yield (head,) + tail
+
+
+@pytest.mark.parametrize("max_len", range(1, 10))
+def test_p3_motifs_match_base3_counting(max_len):
+    assert gates._p3_motifs(max_len, logical=True) == logical_motifs_by_counting(max_len)
+    assert gates._p3_motifs(max_len, logical=False) == stabilizer_motifs_by_counting(max_len)
+
+
+def test_motif_selections_come_in_pool_order():
+    pool = gates._p3_motifs(6, logical=False)
+    for count in range(4):
+        assert list(product(pool, repeat=count)) == list(choices(pool, count))
 
 
 def test_sweep_input_validation():

@@ -7,8 +7,9 @@ consolidated (the (17,6,3) and p=701 constructs before the distance routes
 and the span enumerator were reworked, the clean verify reports, the
 distance table and the audit before the three distance routers became one,
 the search output and the selftest gamma lines before the per-prime scan over
-k became a bisection); a deliberate output change must re-record them and say
-why.
+k became a bisection, the qutrit code search, simulate --p 3 and selftest's
+criterion 8 line before the p = 3 identity and motif search were vectorised);
+a deliberate output change must re-record them and say why.
 """
 
 import hashlib
@@ -19,6 +20,7 @@ import pytest
 from triortho.acceptance import format_report
 from triortho.cli import main
 from triortho.fplinalg import is_prime
+from triortho.gates import find_p3_code
 from triortho.reed_solomon import audit_distance_formula
 from triortho.triortho_css import build_code
 
@@ -61,6 +63,7 @@ TAMPERED_13_4_1 = ("1421cd9353011ef8f533409e9b5c61aa8f0f9f61116e57169f6c69855ee3
 # summation order of the inner product, so it is bounded and the rest of the
 # report pinned (test_cli checks it does not move with the BLAS thread count)
 SIMULATE_7_2_1 = ("cef62bc230454c42da6bc2f6921a99ee1fc8c917428b5e18a9534ddf9634559c", 0)
+SIMULATE_P3 = ("43d72ebd774c261a5f8adc18e7de689faac68e5dcb7959e6a9cdfd6eb72fc1e4", 0)
 # verify of clean descriptors: (7,2,1) enumerates span([H1; G]) directly, (13,4,1)
 # (13^9 coset words) takes the MacWilliams transforms of span(H0) and span(H)
 VERIFY_CLEAN = {
@@ -73,6 +76,10 @@ DISTANCE_TABLE = "094dfa4c5fc8f7c29c987d3fb1c7cece111aa3bb05425985670f380897d86a
 AUDIT_23 = "09dc85ab1ae43d4d0c3394e2bd8fe26bbe5982037e2f16e1e72a22e2f737ab1e"
 # selftest's lines for the gamma criteria 1, 3 (search to 100) and 9 (search to 10^4)
 SELFTEST_GAMMA_LINES = "dd1ebd5c121da22aa195868166a18788b8be448546fb4ddb4db44dc1addbefde"
+SELFTEST_QUTRIT_LINE = "3f14509314d6e21583d08c00172282acb90e88f95461886733b054b67f440860"
+# find_p3_code's H (or its error text) for max_cols 4..16 x logical_rows 1..2 x
+# stabilizer_rows 1..2: 52 searches
+P3_CODES = "11e8b061d41b86f328698df1e792ae869e42c76a495c51177492074b35b07231"
 
 
 def sha256(text):
@@ -104,6 +111,25 @@ def test_simulate_report_is_golden(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report.pop("max_deviation") < 1e-9
     assert (sha256(json.dumps(report, indent=2, sort_keys=True)), exit_code) == SIMULATE_7_2_1
+
+
+def test_simulate_p3_report_is_golden(capsys):
+    exit_code = main(["simulate", "--p", "3"])
+    report = json.loads(capsys.readouterr().out)
+    assert report.pop("max_deviation") < 1e-9
+    assert (sha256(json.dumps(report, indent=2, sort_keys=True)), exit_code) == SIMULATE_P3
+
+
+def test_find_p3_code_is_golden():
+    found = []
+    for max_cols in range(4, 17):
+        for logical_rows in (1, 2):
+            for stabilizer_rows in (1, 2):
+                try:
+                    found.append(find_p3_code(max_cols, logical_rows, stabilizer_rows).H.tolist())
+                except ValueError as exc:
+                    found.append(str(exc))
+    assert sha256(json.dumps(found)) == P3_CODES
 
 
 @pytest.mark.parametrize("plk", sorted(VERIFY_CLEAN))
@@ -140,3 +166,7 @@ def test_distance_audit_is_golden():
 def test_selftest_gamma_lines_are_golden(acceptance_results):
     lines = format_report([acceptance_results[i - 1] for i in (1, 3, 9)])
     assert sha256(lines) == SELFTEST_GAMMA_LINES
+
+
+def test_selftest_qutrit_line_is_golden(acceptance_results):
+    assert sha256(format_report([acceptance_results[7]])) == SELFTEST_QUTRIT_LINE

@@ -1,6 +1,7 @@
 """Code assembly: systematic puncturing, partition, distances, validation."""
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -26,7 +27,6 @@ from triortho.triortho_css import (
     encoded_state_support,
     from_descriptor,
     partition_rows,
-    stabilizer_words,
     systematic_puncture,
     to_descriptor,
     validate_code,
@@ -140,6 +140,12 @@ def test_validate_code_fault_injection():
     assert not names["tri_orthogonality"]
 
 
+def stabilizer_words(code):
+    # every word of span(H0), one int64 row each; the rows of H0 are independent
+    coeffs = np.array(list(itertools.product(range(code.p), repeat=code.H0.nrows)), dtype=np.int64)
+    return coeffs @ code.H0.array % code.p
+
+
 def test_encoded_state_support():
     code = build_code(7, 2, 1)
 
@@ -194,6 +200,42 @@ def test_descriptor_errors():
             from_descriptor(data)
     with pytest.raises(MatrixFormatError):
         from_descriptor("{not json")
+
+
+def set_first_one(rows, value):
+    # the first entry equal to 1 in a list of rows, replaced by value
+    i, j = next((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x == 1)
+    rows[i][j] = value
+
+
+ROWS_OF_6 = "rows must be length-6 lists of canonical residues"
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        pytest.param(lambda d: d.update(p=True), "p must be an integer", id="p"),
+        pytest.param(lambda d: d.update(l=True), "l must be null or in [1, p]", id="l"),
+        pytest.param(lambda d: d.update(k=True), "top-level k disagrees with params.k", id="k"),
+        pytest.param(lambda d: d["params"].update(n=True), "params.n must be a positive integer", id="params.n"),
+        pytest.param(lambda d: d["params"].update(k=True), "params.k must be a non-negative integer", id="params.k"),
+        pytest.param(lambda d: d["params"].update(d=True), "params.d must be a non-negative integer", id="params.d"),
+        pytest.param(lambda d: set_first_one(d["H0"], True), f"H0 {ROWS_OF_6}", id="H0"),
+        pytest.param(lambda d: set_first_one(d["G"], True), f"G {ROWS_OF_6}", id="G"),
+        pytest.param(lambda d: d["H1"][0].__setitem__(0, False), f"H1 {ROWS_OF_6}", id="H1"),
+        pytest.param(
+            lambda d: d.update(epsilon=[True]), "epsilon must be a length-k list of canonical residues", id="epsilon"
+        ),
+        pytest.param(lambda d: d.update(A=[False]), "A must be a list of distinct positions in [0, p)", id="A"),
+    ],
+)
+def test_descriptor_rejects_booleans_as_integers(mutate, message):
+    # JSON true and false parse to Python bools, which isinstance(_, int) accepts
+    data = to_descriptor(build_code(7, 2, 1))
+    mutate(data)
+    with pytest.raises(MatrixFormatError) as excinfo:
+        from_descriptor(json.dumps(data))
+    assert str(excinfo.value) == message
 
 
 def test_code_from_matrix():
