@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .fplinalg import (
@@ -19,6 +18,7 @@ from .fplinalg import (
     BudgetExceeded,
     EmptyCoset,
     MatrixFormatError,
+    ResourceCapError,
     coset_min_weight,
     parse_matrix,
     rref,
@@ -31,7 +31,7 @@ from .overhead import (
     search_best_gamma,
     to_csv,
 )
-from .qudit_sim import ResourceCapError, verify_transversal_action
+from .qudit_sim import verify_transversal_action
 from .starproduct import check_triorthogonal
 from .triortho_css import (
     TriorthogonalCode,
@@ -52,34 +52,15 @@ MIN_BUDGET = 10**4
 PHASE_SAMPLE_CAP = 10**4  # identity check sweeps at most this many coefficient vectors
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Normalized arguments for one CLI invocation."""
-
-    command: str
-    p: Optional[int] = None
-    l: Optional[int] = None
-    k: Optional[int] = None
-    A: Optional[Tuple[int, ...]] = None
-    budget: int = DEFAULT_BUDGET
-    output_path: Optional[str] = None
-    format: str = "json"
-    input_path: Optional[str] = None
-    matrix_path: Optional[str] = None
-    n: Optional[int] = None
-    d: Optional[int] = None
-    p_max: Optional[int] = None
-
-
 def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output_path in (None, "-"):
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.output in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -100,9 +81,9 @@ def _positions(text: str) -> Tuple[int, ...]:
         raise ValueError(f"--positions must be a comma-separated integer list: {exc}") from exc
 
 
-def cmd_construct(cfg: RunConfig) -> int:
-    code = build_code(cfg.p, cfg.l, cfg.k, A=cfg.A, budget=cfg.budget)
-    _emit(cfg, _dump_json(to_descriptor(code)))
+def cmd_construct(args: argparse.Namespace) -> int:
+    code = build_code(args.p, args.l, args.k, A=args.positions, budget=args.budget)
+    _emit(args, _dump_json(to_descriptor(code)))
     return EXIT_OK
 
 
@@ -164,9 +145,9 @@ def _verify_code(code: TriorthogonalCode, budget: int) -> dict:
     }
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.matrix_path is not None:
-        H = parse_matrix(_read_text(cfg.matrix_path))
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.matrix is not None:
+        H = parse_matrix(_read_text(args.matrix))
         ok, witness = check_triorthogonal(H)
         if not ok:
             detail = f"{witness.kind} sum at rows {list(witness.indices)} is {witness.value}, not 0"
@@ -175,54 +156,44 @@ def cmd_verify(cfg: RunConfig) -> int:
                 "checks": [{"name": "tri_orthogonality", "passed": False, "detail": detail}],
                 "params": None,
             }
-            _emit(cfg, _dump_json(report))
+            _emit(args, _dump_json(report))
             return EXIT_VERIFY
-        code = code_from_matrix(H.p, H, budget=cfg.budget)
+        code = code_from_matrix(H.p, H, budget=args.budget)
     else:
-        code = from_descriptor(_read_text(cfg.input_path))
-    report = _verify_code(code, cfg.budget)
-    _emit(cfg, _dump_json(report))
+        code = from_descriptor(_read_text(args.input))
+    report = _verify_code(code, args.budget)
+    _emit(args, _dump_json(report))
     return EXIT_OK if report["passed"] else EXIT_VERIFY
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    if cfg.input_path is not None:
-        code = from_descriptor(_read_text(cfg.input_path))
-    elif cfg.p == 3 and cfg.l is None:
+def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.input is not None:
+        code = from_descriptor(_read_text(args.input))
+    elif args.p == 3 and args.l is None:
         code = find_p3_code()
     else:
-        if cfg.l is None or cfg.k is None:
+        if args.l is None or args.k is None:
             raise ValueError("simulate needs --l and --k (or --input, or --p 3 for the searched code)")
-        code = build_code(cfg.p, cfg.l, cfg.k, A=cfg.A, budget=cfg.budget)
+        code = build_code(args.p, args.l, args.k, A=args.positions, budget=args.budget)
     report = verify_transversal_action(code, third_level_gate(code.p))
-    _emit(cfg, _dump_json(report))
+    _emit(args, _dump_json(report))
     return EXIT_OK if not report["failures"] else EXIT_VERIFY
 
 
-def cmd_gamma(cfg: RunConfig) -> int:
-    value = gamma(cfg.n, cfg.k, cfg.d)
-    if cfg.format == "json":
-        _emit(
-            cfg,
-            _dump_json(
-                {
-                    "n": cfg.n,
-                    "k": cfg.k,
-                    "d": cfg.d,
-                    "gamma": value,
-                    "interpretation": INTERPRETATION_NOTE,
-                }
-            ),
-        )
+def cmd_gamma(args: argparse.Namespace) -> int:
+    value = gamma(args.n, args.k, args.d)
+    if args.format == "json":
+        payload = {"n": args.n, "k": args.k, "d": args.d, "gamma": value, "interpretation": INTERPRETATION_NOTE}
+        _emit(args, _dump_json(payload))
     else:
-        _emit(cfg, f"gamma({cfg.n},{cfg.k},{cfg.d}) = {value!r}\n{INTERPRETATION_NOTE}\n")
+        _emit(args, f"gamma({args.n},{args.k},{args.d}) = {value!r}\n{INTERPRETATION_NOTE}\n")
     return EXIT_OK
 
 
-def cmd_search(cfg: RunConfig) -> int:
-    records = search_best_gamma(cfg.p_max)
-    if cfg.format == "csv":
-        _emit(cfg, to_csv(records))
+def cmd_search(args: argparse.Namespace) -> int:
+    records = search_best_gamma(args.pmax)
+    if args.format == "csv":
+        _emit(args, to_csv(records))
     else:
         payload = {
             "records": [
@@ -231,26 +202,16 @@ def cmd_search(cfg: RunConfig) -> int:
             ],
             "summary": scaling_summary(records) if len(records) >= 10 else None,
         }
-        _emit(cfg, _dump_json(payload))
+        _emit(args, _dump_json(payload))
     return EXIT_OK
 
 
-def cmd_selftest(cfg: RunConfig) -> int:
+def cmd_selftest(args: argparse.Namespace) -> int:
     from .acceptance import format_report, run_all
 
     results = run_all()
-    _emit(cfg, format_report(results))
+    _emit(args, format_report(results))
     return EXIT_OK if all(r["passed"] for r in results) else EXIT_VERIFY
-
-
-_HANDLERS = {
-    "construct": cmd_construct,
-    "verify": cmd_verify,
-    "simulate": cmd_simulate,
-    "gamma": cmd_gamma,
-    "search": cmd_search,
-    "selftest": cmd_selftest,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -271,12 +232,14 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--positions", default=None, help="comma-separated puncture positions")
     common(c)
+    c.set_defaults(handler=cmd_construct)
 
     v = sub.add_parser("verify", help="recheck every claim in a descriptor or raw matrix")
     src = v.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", default=None, help="JSON descriptor path")
     src.add_argument("--matrix", default=None, help="whitespace matrix file path")
     common(v)
+    v.set_defaults(handler=cmd_verify)
 
     s = sub.add_parser("simulate", help="coset-state check of the transversal gate on every encoded basis state")
     s.add_argument("--p", type=int, default=None)
@@ -285,41 +248,24 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--positions", default=None)
     s.add_argument("--input", default=None, help="JSON descriptor path")
     common(s)
+    s.set_defaults(handler=cmd_simulate)
 
     g = sub.add_parser("gamma", help="overhead exponent ln(n/k)/ln(d)")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--d", type=int, required=True)
     common(g, fmt_choices=("json", "text"), fmt_default="text")
+    g.set_defaults(handler=cmd_gamma)
 
     r = sub.add_parser("search", help="best overhead exponent per prime")
     r.add_argument("--pmax", type=int, required=True)
     common(r, fmt_choices=("csv", "json"), fmt_default="csv")
+    r.set_defaults(handler=cmd_search)
 
     t = sub.add_parser("selftest", help="run the full acceptance suite")
     t.add_argument("--output", default=None)
+    t.set_defaults(handler=cmd_selftest)
     return parser
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    A = None
-    if getattr(args, "positions", None) is not None:
-        A = _positions(args.positions)
-    return RunConfig(
-        command=args.command,
-        p=getattr(args, "p", None),
-        l=getattr(args, "l", None),
-        k=getattr(args, "k", None),
-        A=A,
-        budget=getattr(args, "budget", DEFAULT_BUDGET),
-        output_path=getattr(args, "output", None),
-        format=getattr(args, "format", "json"),
-        input_path=getattr(args, "input", None),
-        matrix_path=getattr(args, "matrix", None),
-        n=getattr(args, "n", None),
-        d=getattr(args, "d", None),
-        p_max=getattr(args, "pmax", None),
-    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -329,10 +275,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config(args)
-        if cfg.budget < MIN_BUDGET:
+        if getattr(args, "positions", None) is not None:
+            args.positions = _positions(args.positions)
+        if getattr(args, "budget", MIN_BUDGET) < MIN_BUDGET:
             return _fail(EXIT_PARAM, f"budget must be at least {MIN_BUDGET}")
-        return _HANDLERS[cfg.command](cfg)
+        return args.handler(args)
     except ResourceCapError as exc:
         return _fail(EXIT_CAP, str(exc))
     except BudgetExceeded as exc:

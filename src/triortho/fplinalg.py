@@ -17,12 +17,14 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 DEFAULT_BUDGET = 10**8
+ENTRY_CAP = 2**24  # most entries of an RS generator or a kernel basis, checked before allocation
 
 __all__ = [
     "PrimeModulus",
     "FpVector",
     "FpMatrix",
     "BudgetExceeded",
+    "ResourceCapError",
     "EmptyCoset",
     "MatrixFormatError",
     "is_prime",
@@ -45,6 +47,16 @@ class BudgetExceeded(Exception):
     def __init__(self, message: str, partial_bound: Optional[int] = None):
         super().__init__(message)
         self.partial_bound = partial_bound
+
+
+class ResourceCapError(Exception):
+    """The requested arrays or states exceed a size cap."""
+
+
+def _check_entries(rows: int, cols: int, what: str) -> None:
+    """Raise ResourceCapError when a rows x cols array would exceed ENTRY_CAP."""
+    if rows * cols > ENTRY_CAP:
+        raise ResourceCapError(f"{what} of {rows} x {cols} entries exceeds the cap {ENTRY_CAP} on matrix entries")
 
 
 class EmptyCoset(ValueError):
@@ -310,6 +322,7 @@ def power_sums(A: np.ndarray, t: int, p: int) -> np.ndarray:
 def kernel_basis(M: FpMatrix) -> FpMatrix:
     """Basis of the right kernel {v : M v = 0 (mod p)}; ncols - rank rows."""
     R, rank, pivots = _rref_array(M.array, M.p)
+    _check_entries(M.ncols - rank, M.ncols, "a kernel basis")
     free = [c for c in range(M.ncols) if c not in set(pivots)]
     basis = np.zeros((len(free), M.ncols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1

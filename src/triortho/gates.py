@@ -7,7 +7,8 @@ identities verified here reduce that word-wise sum to a per-logical-qudit
 sum weighted by the cubic weights of the H1 rows.  One sweep checks them
 for every prime, a block of coefficient vectors at a time, with a mod-p
 cubic kernel (p >= 5) or a mod-9 lifted-sum kernel (p = 3).  The qutrit
-code search assembles rows from full-support motifs on disjoint supports.
+code is assembled, not searched: the shortest full-support motifs, each on
+its own columns, already give the shortest code that keeps the identity.
 All arithmetic is exact integer work — complex numbers only appear in the
 state-vector simulator.
 """
@@ -236,15 +237,15 @@ def phase_identity_sweep(H: FpMatrix, count: int) -> np.ndarray:
     return out
 
 
-def _p3_motifs(max_len: int, logical: bool) -> list:
+def _p3_motifs(max_len: int, logical: bool):
     """Full-support candidate rows v, shortest first, that keep the mod-9 identity on their own support.
 
     Each multiple c·v (c = 1, 2) must have lifted sum c·eps mod 9.  Logical
     rows have square weight != 0 and eps = sum v; stabilizer rows have square
     weight 0 and eps = 0, so coset shifts never move the phase.  Rows of one
-    length come in base-3 counting order, digit 0 least significant.
+    length come in base-3 counting order, digit 0 least significant, and are
+    yielded lazily, so taking the first costs only the lengths below it.
     """
-    out = []
     for length in range(1, max_len + 1):
         for digits in product((1, 2), repeat=length):
             v = digits[::-1]
@@ -252,46 +253,35 @@ def _p3_motifs(max_len: int, logical: bool) -> list:
                 continue
             eps = sum(v) % 9 if logical else 0
             if all(sum(c * x % 3 for x in v) % 9 == c * eps % 9 for c in (1, 2)):
-                out.append(v)
-    return out
+                yield v
 
 
 def find_p3_code(max_cols: int = 14, logical_rows: int = 2, stabilizer_rows: int = 1):
-    """Deterministic search for a qutrit code satisfying the mod-9 gate identity.
+    """The shortest qutrit code of full-support motifs on disjoint supports that keeps the mod-9 identity.
 
-    Assembles rows from full-support motifs on disjoint supports (pair and
-    triple star products then vanish automatically), smallest total length
-    first, and keeps the first assembly whose identity verifies exhaustively
-    over every coefficient vector u in F_3^rows.  Returns the assembled
-    TriorthogonalCode.
+    The code is assembled, not searched for: the first logical motif, (1,),
+    fills logical_rows rows and the first stabilizer motif of length at most
+    min(9, max_cols), (2, 2, 2, 1, 1, 1), fills stabilizer_rows rows, each row
+    on its own block of columns.  Among all such assemblies this one is the
+    answer.  Disjoint supports make every pair and triple star product vanish
+    and make the lifted sums add, so the identity each motif keeps on its own
+    support holds for every assembly; motifs come shortest first, so no
+    assembly is shorter, and if this one exceeds max_cols every one does.
+    One exhaustive sweep over F_3^rows checks the result.  Returns the
+    assembled TriorthogonalCode.
     """
     from .triortho_css import code_from_matrix
 
     if logical_rows < 1 or stabilizer_rows < 1:
         raise ValueError("need at least one logical and one stabilizer row")
-    log_motifs = _p3_motifs(4, logical=True)
-    stab_motifs = _p3_motifs(min(9, max_cols), logical=False)
-    rows_total = logical_rows + stabilizer_rows
-    best = None
-    for logs in product(log_motifs, repeat=logical_rows):
-        for stabs in product(stab_motifs, repeat=stabilizer_rows):
-            motifs = logs + stabs
-            n = sum(len(v) for v in motifs)
-            if n > max_cols or (best is not None and n >= best[0]):
-                continue
-            rows = []
-            offset = 0
-            for v in motifs:
-                row = [0] * n
-                row[offset : offset + len(v)] = list(v)
-                rows.append(row)
-                offset += len(v)
-            H = FpMatrix.from_rows(3, rows)
-            try:
-                phase_identity_sweep(H, 3**rows_total)
-            except PhaseIdentityError:
-                continue
-            best = (n, H)
-    if best is None:
+    logical = next(_p3_motifs(4, logical=True))
+    stabilizer = next(_p3_motifs(min(9, max_cols), logical=False), None)
+    motifs = [logical] * logical_rows + [stabilizer] * stabilizer_rows
+    if stabilizer is None or sum(map(len, motifs)) > max_cols:
         raise ValueError(f"no qutrit code with the mod-9 identity found within {max_cols} columns")
-    return code_from_matrix(3, best[1])
+    lengths = [len(v) for v in motifs]
+    H = np.zeros((len(motifs), sum(lengths)), dtype=np.int64)
+    H[np.repeat(np.arange(len(motifs)), lengths), np.arange(sum(lengths))] = np.concatenate(motifs)
+    H = FpMatrix(3, H)
+    phase_identity_sweep(H, 3**H.nrows)
+    return code_from_matrix(3, H)

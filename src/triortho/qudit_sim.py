@@ -16,12 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fplinalg import FpVector, PrimeModulus, _span_basis, _SpanEnumerator, matmul_mod, powers_mod
+from .fplinalg import FpVector, PrimeModulus, ResourceCapError, _span_basis, _SpanEnumerator, matmul_mod, powers_mod
 from .gates import GateSpec, _coefficients, gate_phase, phase_identity_sweep
 from .triortho_css import TriorthogonalCode, encoded_state_support
 
 __all__ = [
     "STATE_CAP",
+    "DEVIATION_TOL",
     "ResourceCapError",
     "QuditState",
     "encode",
@@ -32,10 +33,7 @@ __all__ = [
 ]
 
 STATE_CAP = 2**24  # hard limit on the label digits held: rows times n
-
-
-class ResourceCapError(Exception):
-    """The requested states exceed the simulation cap."""
+DEVIATION_TOL = 1e-9  # largest |1 - <s2|s1>| a logical state may show and still pass
 
 
 @dataclass(frozen=True)
@@ -161,11 +159,12 @@ def _claimed_numerators(code: TriorthogonalCode, g: GateSpec, coeffs: np.ndarray
     return coeffs @ (code.H1.array.sum(axis=1) % 9) % 9
 
 
-def verify_transversal_action(code: TriorthogonalCode, g: GateSpec, tol: float = 1e-9) -> dict:
+def verify_transversal_action(code: TriorthogonalCode, g: GateSpec) -> dict:
     """Simulate the transversal gate on every logical basis state.
 
     For each u in F_p^k the simulated U^(tensor n) |u_enc> is compared with
-    the predicted global phase on |u_enc>; deviations are |1 - <s2|s1>|.
+    the predicted global phase on |u_enc>; deviations are |1 - <s2|s1>|, and
+    one above DEVIATION_TOL is a failure.
     The prediction is also checked against the exact phase algebra, so a
     wrong stored epsilon lands in `failures` too, and a failing identity
     raises PhaseIdentityError.  The p^(k + rank H0) labels of all the
@@ -189,7 +188,7 @@ def verify_transversal_action(code: TriorthogonalCode, g: GateSpec, tol: float =
         predicted = np.exp(2j * np.pi * claimed / denom)
         deviation = float(abs(1.0 - np.conj(predicted) * base.inner(s1)))
         max_dev = max(max_dev, deviation)
-        if deviation > tol or claimed != exact:
+        if deviation > DEVIATION_TOL or claimed != exact:
             entry = {"u": u.tolist(), "deviation": deviation}
             if claimed != exact:
                 entry["claimed_numerator"] = claimed

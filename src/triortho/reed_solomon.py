@@ -19,6 +19,7 @@ from .fplinalg import (
     BudgetExceeded,
     FpMatrix,
     PrimeModulus,
+    _check_entries,
     coset_min_weight,
     kernel_basis,
     matmul_mod,
@@ -41,6 +42,7 @@ def rs_generator(p, l: int) -> FpMatrix:
     pv = mod.p
     if not 1 <= l <= pv:
         raise ValueError(f"need 1 <= l <= p, got l={l}, p={pv}")
+    _check_entries(l, pv, f"the RS_{l} generator")
     points = np.arange(pv, dtype=np.int64)
     rows = np.empty((l, pv), dtype=np.int64)
     rows[0] = 1  # x^0 evaluates to 1 everywhere, including at 0

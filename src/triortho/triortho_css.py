@@ -196,9 +196,6 @@ def build_code(p, l: int, k: int, A=None, budget: int = DEFAULT_BUDGET) -> Trior
     spec = RsCodeSpec.make(modulus, l, A)  # validates k <= l and position ranges
     gen = rs_generator(modulus, l)
     H1, H0 = systematic_puncture(gen, spec.A)
-    part0, part1 = partition_rows(H1.stack(H0))
-    if part1 != H1 or part0 != H0:
-        raise AssertionError("square-weight partition disagrees with systematic form")
     code = _assemble(modulus, l, spec.A, H0, H1, budget, claimed=l - k)
     if any(e != 1 for e in code.epsilon):
         raise AssertionError(f"cubic weights {code.epsilon.tolist()} deviate from 1")

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -68,6 +69,15 @@ def test_budget_floor(capsys):
     assert "budget" in err
 
 
+def test_bad_positions_wins_over_budget_floor(capsys):
+    # --positions is parsed before the budget is checked
+    exit_code, out, err = run(
+        capsys, "construct", "--p", "7", "--l", "2", "--k", "1", "--budget", "100", "--positions", "x"
+    )
+    assert (exit_code, out) == (2, "")
+    assert err == "error: --positions must be a comma-separated integer list: invalid literal for int() with base 10: 'x'\n"
+
+
 def test_output_file(capsys, tmp_path):
     target = tmp_path / "code.json"
     exit_code, out, _ = run(
@@ -84,6 +94,44 @@ def test_output_to_directory_is_io_error(capsys, tmp_path):
     )
     assert exit_code == 3
     assert err.startswith("error:")
+
+
+def assert_output_file_holds_stdout(capsys, tmp_path, argv):
+    exit_code, out, err = run(capsys, *argv)
+    target = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--output", str(target)) == (exit_code, "", err)
+    assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--p", "7", "--l", "2", "--k", "1"],
+        ["simulate", "--p", "3"],
+        ["gamma", "--n", "83", "--k", "14", "--d", "15"],
+        ["gamma", "--n", "83", "--k", "14", "--d", "15", "--format", "json"],
+        ["search", "--pmax", "150"],
+        ["search", "--pmax", "150", "--format", "json"],
+    ],
+)
+def test_output_file_holds_stdout_bytes(capsys, tmp_path, argv):
+    assert_output_file_holds_stdout(capsys, tmp_path, argv)
+
+
+@pytest.mark.parametrize("source", ["--input", "--matrix"])
+def test_verify_output_file_holds_stdout_bytes(capsys, tmp_path, source):
+    target = tmp_path / "code.txt"
+    if source == "--input":
+        assert main(["construct", "--p", "7", "--l", "2", "--k", "1", "--output", str(target)]) == 0
+    else:
+        H = build_code(7, 2, 1).H
+        target.write_text("\n".join([f"7 {H.nrows} {H.ncols}"] + [" ".join(map(str, row)) for row in H.tolist()]))
+    assert_output_file_holds_stdout(capsys, tmp_path, ["verify", source, str(target)])
+
+
+def test_selftest_output_file_holds_stdout_bytes(capsys, tmp_path, monkeypatch, acceptance_results):
+    monkeypatch.setattr("triortho.acceptance.run_all", lambda: acceptance_results)
+    assert_output_file_holds_stdout(capsys, tmp_path, ["selftest"])
 
 
 def test_runs_are_byte_identical(capsys):
@@ -245,6 +293,34 @@ def test_simulate_reaches_codes_past_the_dense_cap(capsys):
     report = json.loads(out)
     assert report["failures"] == []
     assert report["max_deviation"] < 1e-9
+
+
+def cap_address_space():
+    # 2 GiB holds the interpreter and numpy; a build that ignored the entry cap would
+    # die here on its first huge array instead of filling the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--p", "65537", "--l", "2", "--k", "1"],  # G would be 65534 x 65536
+        ["construct", "--p", "2147483647", "--l", "2", "--k", "1"],  # RS_2 would be 2 x (2^31 - 1)
+        ["verify", "--matrix", "WIDE"],  # G would be 39999 x 40000
+    ],
+)
+def test_oversized_builds_hit_the_entry_cap(tmp_path, argv):
+    wide = tmp_path / "wide.txt"
+    wide.write_text("7 1 40000\n" + " ".join(["1"] * 40000) + "\n")
+    argv = [str(wide) if arg == "WIDE" else arg for arg in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "triortho.cli", *argv],
+        env=env, capture_output=True, text=True, preexec_fn=cap_address_space, timeout=120,
+    )
+    assert "Traceback" not in done.stderr
+    assert (done.returncode, done.stdout) == (4, "")
+    assert "exceed" in done.stderr
 
 
 def test_simulate_cap_counts_logical_states(capsys, monkeypatch):

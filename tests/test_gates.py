@@ -373,12 +373,12 @@ def choices(pool, count):
 
 @pytest.mark.parametrize("max_len", range(1, 10))
 def test_p3_motifs_match_base3_counting(max_len):
-    assert gates._p3_motifs(max_len, logical=True) == logical_motifs_by_counting(max_len)
-    assert gates._p3_motifs(max_len, logical=False) == stabilizer_motifs_by_counting(max_len)
+    assert list(gates._p3_motifs(max_len, logical=True)) == logical_motifs_by_counting(max_len)
+    assert list(gates._p3_motifs(max_len, logical=False)) == stabilizer_motifs_by_counting(max_len)
 
 
 def test_motif_selections_come_in_pool_order():
-    pool = gates._p3_motifs(6, logical=False)
+    pool = list(gates._p3_motifs(6, logical=False))
     for count in range(4):
         assert list(product(pool, repeat=count)) == list(choices(pool, count))
 

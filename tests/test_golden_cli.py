@@ -8,7 +8,9 @@ and the span enumerator were reworked, the clean verify reports, the
 distance table and the audit before the three distance routers became one,
 the search output and the selftest gamma lines before the per-prime scan over
 k became a bisection, the qutrit code search, simulate --p 3 and selftest's
-criterion 8 line before the p = 3 identity and motif search were vectorised);
+criterion 8 line before the p = 3 identity and motif search were vectorised,
+the qutrit codes with three stabilizer rows before the search became one
+assembly);
 a deliberate output change must re-record them and say why.
 """
 
@@ -80,6 +82,8 @@ SELFTEST_QUTRIT_LINE = "3f14509314d6e21583d08c00172282acb90e88f95461886733b054b6
 # find_p3_code's H (or its error text) for max_cols 4..16 x logical_rows 1..2 x
 # stabilizer_rows 1..2: 52 searches
 P3_CODES = "11e8b061d41b86f328698df1e792ae869e42c76a495c51177492074b35b07231"
+# the same for stabilizer_rows 3: 26 more, recorded while each still ran the full search
+P3_CODES_THREE_STABILIZERS = "d2f39383167fe792247f85001c506593a5a9d8494a109bbfac07dd014fe241cc"
 
 
 def sha256(text):
@@ -120,16 +124,24 @@ def test_simulate_p3_report_is_golden(capsys):
     assert (sha256(json.dumps(report, indent=2, sort_keys=True)), exit_code) == SIMULATE_P3
 
 
-def test_find_p3_code_is_golden():
+def p3_codes(stabilizer_counts):
     found = []
     for max_cols in range(4, 17):
         for logical_rows in (1, 2):
-            for stabilizer_rows in (1, 2):
+            for stabilizer_rows in stabilizer_counts:
                 try:
                     found.append(find_p3_code(max_cols, logical_rows, stabilizer_rows).H.tolist())
                 except ValueError as exc:
                     found.append(str(exc))
-    assert sha256(json.dumps(found)) == P3_CODES
+    return found
+
+
+def test_find_p3_code_is_golden():
+    assert sha256(json.dumps(p3_codes((1, 2)))) == P3_CODES
+
+
+def test_find_p3_code_with_three_stabilizer_rows_is_golden():
+    assert sha256(json.dumps(p3_codes((3,)))) == P3_CODES_THREE_STABILIZERS
 
 
 @pytest.mark.parametrize("plk", sorted(VERIFY_CLEAN))
