@@ -21,7 +21,6 @@ from .fplinalg import (
     ResourceCapError,
     coset_min_weight,
     parse_matrix,
-    rref,
 )
 from .gates import PhaseIdentityError, find_p3_code, phase_identity_sweep, third_level_gate
 from .overhead import (
@@ -108,10 +107,10 @@ def _verify_code(code: TriorthogonalCode, budget: int) -> dict:
         checks.append({"name": "distance", "passed": True, "detail": "no logical classes"})
     elif code.d_verified:
         # a descriptor's G is untrusted: ranks by elimination, and the route that reads G first
-        H = code.H
-        routes = (("direct", rref(code.H1.stack(code.G))[1]), ("macwilliams", rref(H)[1]))
+        ranks = report["ranks"]
+        routes = (("direct", ranks["H1_G"]), ("macwilliams", ranks["H"]))
         try:
-            recomputed, _ = coset_min_weight(code.H1, code.G, code.H0, H, routes, budget)
+            recomputed, _ = coset_min_weight(code.H1, code.G, code.H0, code.H, routes, budget)
         except EmptyCoset:
             passed, detail = False, "no logical Z word: every word of span([H1; G]) lies in span(G)"
         else:
@@ -170,6 +169,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.input is not None:
         code = from_descriptor(_read_text(args.input))
     elif args.p == 3 and args.l is None:
+        if args.k is not None or args.positions is not None:
+            raise ValueError("--p 3 without --l builds the assembled qutrit code, which takes no --k or --positions")
         code = find_p3_code()
     else:
         if args.l is None or args.k is None:
@@ -280,13 +281,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "budget", MIN_BUDGET) < MIN_BUDGET:
             return _fail(EXIT_PARAM, f"budget must be at least {MIN_BUDGET}")
         return args.handler(args)
-    except ResourceCapError as exc:
+    except (ResourceCapError, BudgetExceeded) as exc:
         return _fail(EXIT_CAP, str(exc))
-    except BudgetExceeded as exc:
-        return _fail(EXIT_CAP, str(exc))
-    except MatrixFormatError as exc:
-        return _fail(EXIT_IO, str(exc))
-    except (FileNotFoundError, IsADirectoryError, PermissionError, OSError) as exc:
+    except (MatrixFormatError, OSError) as exc:
         return _fail(EXIT_IO, str(exc))
     except PhaseIdentityError as exc:
         return _fail(EXIT_VERIFY, str(exc))

@@ -31,6 +31,7 @@ __all__ = [
     "inv_mod",
     "rref",
     "rref_with_transform",
+    "prefix_ranks",
     "kernel_basis",
     "in_rowspan",
     "min_weight",
@@ -283,6 +284,18 @@ def rref_with_transform(M: FpMatrix):
     aug = np.hstack([M.array, np.eye(M.nrows, dtype=np.int64)])
     r, rank, pivots = _rref_array(aug, M.p, pivot_cols=M.ncols)
     return FpMatrix(M.modulus, r[:, : M.ncols]), rank, pivots, FpMatrix(M.modulus, r[:, M.ncols :])
+
+
+def prefix_ranks(*blocks: FpMatrix) -> list:
+    """[rank B1, rank [B1; B2], ...] of row blocks of one width, from one elimination.
+
+    A column of a reduced echelon form is a pivot exactly when it is
+    independent of the columns before it, so the pivots of [B1; B2; ...]^T
+    that fall among the first rows(B1) + ... + rows(Bi) columns count the
+    rank of that leading stack.
+    """
+    _, _, pivots = _rref_array(np.vstack([b.array for b in blocks]).T, blocks[0].p)
+    return np.searchsorted(pivots, np.cumsum([b.nrows for b in blocks])).tolist()
 
 
 def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:

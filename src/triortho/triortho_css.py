@@ -17,8 +17,9 @@ caller gives its route order and the dimension each route enumerates:
               whose duals are span(H) ⊃ span(H0), so d_X comes with d_Z.
               rank H = n - rows(G), and rank [H1; G] = k + rows(G) because
               H1 H1^T is diagonal and invertible and H1 G^T = 0.
-  verify      direct, then MacWilliams, with ranks by elimination: a
-              descriptor's G is untrusted, and only the direct route reads it.
+  verify      direct, then MacWilliams, with the ranks that validate_code
+              derives by elimination: a descriptor's G is untrusted, and only
+              the direct route reads it.
   the audit   the cheaper side first, a tie going to direct
               (reed_solomon.prs_min_distance).
 Out-of-budget codes carry the family-formula d flagged d_verified = False.
@@ -45,7 +46,7 @@ from .fplinalg import (
     kernel_basis,
     matmul_mod,
     power_sums,
-    rref,
+    prefix_ranks,
     rref_with_transform,
 )
 from .reed_solomon import RsCodeSpec, rs_generator, rs_triply_even
@@ -216,7 +217,12 @@ def _check(name: str, passed: bool, detail: str = "") -> dict:
 
 
 def validate_code(code: TriorthogonalCode) -> dict:
-    """Re-derive every structural requirement; report one named check each."""
+    """Re-derive every structural requirement; report one named check each.
+
+    Every rank comes from three eliminations (fplinalg.prefix_ranks).  The
+    report's "ranks" entry holds rank H and rank [H1; G] under the keys "H"
+    and "H1_G": the dimensions that verify's distance routes enumerate.
+    """
     p = code.p
     checks = []
 
@@ -241,23 +247,22 @@ def validate_code(code: TriorthogonalCode) -> dict:
         )
     )
 
-    _, rank_h1, _ = rref(code.H1)
-    _, rank_h0, _ = rref(code.H0)
-    _, rank_h, _ = rref(code.H)
+    # [H1; G; H0] spans [H; G], and [H0; H1] spans H
+    rank_h1, rank_h1_g, rank_all = prefix_ranks(code.H1, code.G, code.H0)
+    rank_h0, rank_h = prefix_ranks(code.H0, code.H1)
+    rank_g, rank_g_h0 = prefix_ranks(code.G, code.H0)
+
     indep = rank_h1 == code.k and rank_h == code.k + rank_h0
     checks.append(_check("logical_independence", indep))
 
-    _, rank_g, _ = rref(code.G)
     # a repeated row in H0 or G would leave every rank and span unchanged
     independent_rows = rank_h0 == code.H0.nrows and rank_g == code.G.nrows
     dim_ok = code.k == code.n - rank_h0 - rank_g and code.k == code.H1.nrows and independent_rows
     checks.append(_check("dimension", dim_ok, f"n={code.n}, rank H0={rank_h0}, rank G={rank_g}"))
 
-    _, rank_g_h0, _ = rref(code.G.stack(code.H0))
     inside = rank_g_h0 == rank_g
     checks.append(_check("x_stabilizers_inside_z_span", inside))
 
-    _, rank_all, _ = rref(code.H.stack(code.G))
     span_ok = rank_all == code.k + rank_g
     checks.append(
         _check(
@@ -277,7 +282,11 @@ def validate_code(code: TriorthogonalCode) -> dict:
     else:
         checks.append(_check("distance_ordering", True, "skipped: distances not both enumerated"))
 
-    return {"passed": all(c["passed"] for c in checks), "checks": checks}
+    return {
+        "passed": all(c["passed"] for c in checks),
+        "checks": checks,
+        "ranks": {"H": rank_h, "H1_G": rank_h1_g},
+    }
 
 
 def encoded_state_support(code: TriorthogonalCode, u: FpVector, stabilizers: np.ndarray) -> np.ndarray:

@@ -341,6 +341,14 @@ def test_simulate_qutrit_searched_code(capsys):
     assert report["max_deviation"] < 1e-9
 
 
+@pytest.mark.parametrize("extra", [["--k", "5"], ["--positions", "1,2"], ["--k", "5", "--positions", "1,2"]])
+def test_simulate_qutrit_code_takes_no_shape_flags(capsys, extra):
+    # without --l, --p 3 means the assembled qutrit code, which has no k or puncture set
+    exit_code, out, err = run(capsys, "simulate", "--p", "3", *extra)
+    assert (exit_code, out) == (2, "")
+    assert "assembled qutrit code" in err
+
+
 def test_simulate_missing_shape_is_parameter_error(capsys):
     exit_code, _, err = run(capsys, "simulate", "--p", "7")
     assert exit_code == 2

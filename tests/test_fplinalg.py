@@ -19,8 +19,10 @@ from triortho.fplinalg import (
     is_prime,
     kernel_basis,
     macwilliams_dual_distribution,
+    matmul_mod,
     min_weight,
     parse_matrix,
+    prefix_ranks,
     rref,
     rref_with_transform,
     weight_distribution,
@@ -141,6 +143,29 @@ def test_rank_nullity_and_kernel_exactness():
             assert rank + K.nrows == M.ncols
             for i in range(K.nrows):
                 assert not np.any(M.array @ K.array[i] % p)
+
+
+@st.composite
+def row_blocks(draw):
+    """1-4 row blocks of one width, some empty, where some rows are combinations of rows above them."""
+    p = draw(st.sampled_from((2, 3, 211, 2**31 - 1)))
+    n = draw(st.integers(1, 8))
+    sizes = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stacked = rng.integers(0, p, size=(sum(sizes), n))
+    for i in range(1, len(stacked)):
+        if draw(st.booleans()):  # a dependent row, often on rows of an earlier block
+            stacked[i] = matmul_mod(rng.integers(0, p, size=i), stacked[:i], p)
+    ends = np.cumsum(sizes)
+    return p, [FpMatrix(p, block) for block in np.split(stacked, ends[:-1])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_blocks())
+def test_prefix_ranks_match_rref_of_each_leading_stack(case):
+    p, blocks = case
+    expected = [rref(FpMatrix(p, np.vstack([b.array for b in blocks[: i + 1]])))[1] for i in range(len(blocks))]
+    assert prefix_ranks(*blocks) == expected
 
 
 def test_in_rowspan_coefficients():

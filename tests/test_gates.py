@@ -1,6 +1,5 @@
 """Phase gates, the level-3 gate, and the exact phase-sum identities."""
 
-from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -361,26 +360,10 @@ def stabilizer_motifs_by_counting(max_len):
     return out
 
 
-def choices(pool, count):
-    # ordered selections with repetition, lexicographic in the pool order
-    if count == 0:
-        yield ()
-        return
-    for head in pool:
-        for tail in choices(pool, count - 1):
-            yield (head,) + tail
-
-
 @pytest.mark.parametrize("max_len", range(1, 10))
 def test_p3_motifs_match_base3_counting(max_len):
     assert list(gates._p3_motifs(max_len, logical=True)) == logical_motifs_by_counting(max_len)
     assert list(gates._p3_motifs(max_len, logical=False)) == stabilizer_motifs_by_counting(max_len)
-
-
-def test_motif_selections_come_in_pool_order():
-    pool = list(gates._p3_motifs(6, logical=False))
-    for count in range(4):
-        assert list(product(pool, repeat=count)) == list(choices(pool, count))
 
 
 def test_sweep_input_validation():

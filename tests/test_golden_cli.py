@@ -10,7 +10,8 @@ the search output and the selftest gamma lines before the per-prime scan over
 k became a bisection, the qutrit code search, simulate --p 3 and selftest's
 criterion 8 line before the p = 3 identity and motif search were vectorised,
 the qutrit codes with three stabilizer rows before the search became one
-assembly);
+assembly, the broken descriptors and the --matrix report before verify's
+ranks came from stacked eliminations);
 a deliberate output change must re-record them and say why.
 """
 
@@ -72,6 +73,27 @@ VERIFY_CLEAN = {
     (7, 2, 1): ("763344dcd1974f1ac1b76805c5aa443e5ec3621baaa49ad09dca5a45f8909d2d", 0),
     (13, 4, 1): ("fa3a6ded61f4b961ea5adf0e4578b0a0b9e056af460ca192b6b6f39522d6c1f0", 0),
 }
+# verify of broken descriptors: their check details print rank H0, rank G and
+# rank [H; G], and a dropped or emptied G moves the distance route's dimension
+VERIFY_BROKEN = {
+    ((7, 2, 1), "G-duplicated"): ("419cc37987240d9f200be9d6abb3b8b0b5fd6a45552123724ceef00005590daf", 1),
+    ((7, 2, 1), "G-dropped"): ("b563266f8913755a5ece88754d450346bc8ff4b30530d7415a051d23307cba54", 1),
+    ((7, 2, 1), "H0-duplicated"): ("7467df3a2160585424f58857c53bb89796d087898faf43b8264910642a83ad7d", 1),
+    ((7, 2, 1), "G-off-kernel"): ("b0405a8a72edda3af9c323d391fd0eb75b908423b3a41f4e2f8232847b19c6f0", 1),
+    ((7, 2, 1), "G-emptied"): ("95e0061fe36b46540377141f7dbf0523288f8c52b8af70506530db3dc810eee7", 1),
+    ((13, 4, 1), "G-duplicated"): ("52d4d176a38b497f081041ef10a93df891a80983047e0bc6c51e103e337fa641", 1),
+    ((13, 4, 1), "G-dropped"): ("b6f20b4b862e1cff94c7e59ec4a13570e928dd25be34337468777c382cb6cabf", 1),
+    ((13, 4, 1), "H0-duplicated"): ("52d4d176a38b497f081041ef10a93df891a80983047e0bc6c51e103e337fa641", 1),
+    ((13, 4, 1), "G-off-kernel"): ("fae351c1edadb59e4800c01f1ae0935d23773d2c5a2144840a3028c3bd937f92", 1),
+    ((13, 4, 1), "G-emptied"): ("f9c44115203484bedf1b009be709ec52192dbf2969f75460ec5a5962a2aa7518", 1),
+    ((17, 6, 3), "G-duplicated"): ("4e8f21f0f819ca7360871e3330234592d5621717dc013caddb59d5ffda9afe7b", 1),
+    ((17, 6, 3), "G-dropped"): ("697ead6b9fe3bda3b0f0bcdc31dac5992699e082e1c1ad82fcf9462db2aec829", 1),
+    ((17, 6, 3), "H0-duplicated"): ("4e8f21f0f819ca7360871e3330234592d5621717dc013caddb59d5ffda9afe7b", 1),
+    ((17, 6, 3), "G-off-kernel"): ("b140ba4b369223df26e63cbe6944385ec2e564fefe3c7631cf9752997643dc35", 1),
+    ((17, 6, 3), "G-emptied"): ("dfb9c1eb16b0be07d763cb5af6929a0ed990771f201479b8ff3accc5f831e00a", 1),
+}
+# verify --matrix on the H of (13,4,1): code_from_matrix enumerates d_X too
+VERIFY_MATRIX_13_4_1 = ("2fa610e8fc0b21c0908c81c2fc0c91be149c56d72c00e7dc59568ba3eb33702c", 0)
 # (d, d_verified, d_x) of build_code for every 1 <= k < l <= (p+1)/3, p <= 23, both
 # end puncture sets, at budgets on each side of the route switches: 288 builds
 DISTANCE_TABLE = "094dfa4c5fc8f7c29c987d3fb1c7cece111aa3bb05425985670f380897d86adb"
@@ -151,6 +173,40 @@ def test_verify_clean_descriptor_is_golden(capsys, tmp_path, plk):
     path = tmp_path / "code.json"
     path.write_text(capsys.readouterr().out)
     assert digest(capsys, ["verify", "--input", str(path)]) == VERIFY_CLEAN[plk]
+
+
+def break_descriptor(data, mutation):
+    p = data["p"]
+    if mutation == "G-duplicated":
+        data["G"].append(data["G"][0])
+    elif mutation == "G-dropped":
+        data["G"].pop()
+    elif mutation == "H0-duplicated":
+        data["H0"].append(data["H0"][0])
+    elif mutation == "G-off-kernel":  # the first entry of a G row moved by one
+        data["G"][0][0] = (data["G"][0][0] + 1) % p
+    elif mutation == "G-emptied":
+        data["G"] = []
+
+
+@pytest.mark.parametrize(
+    "plk, mutation", sorted(VERIFY_BROKEN), ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v))
+)
+def test_verify_broken_descriptor_is_golden(capsys, tmp_path, plk, mutation):
+    p, l, k = plk
+    assert main(["construct", "--p", str(p), "--l", str(l), "--k", str(k)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    break_descriptor(data, mutation)
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(data))
+    assert digest(capsys, ["verify", "--input", str(path)]) == VERIFY_BROKEN[plk, mutation]
+
+
+def test_verify_matrix_is_golden(capsys, tmp_path):
+    H = build_code(13, 4, 1).H
+    path = tmp_path / "H.txt"
+    path.write_text("\n".join([f"13 {H.nrows} {H.ncols}"] + [" ".join(map(str, row)) for row in H.tolist()]))
+    assert digest(capsys, ["verify", "--matrix", str(path)]) == VERIFY_MATRIX_13_4_1
 
 
 def distance_table():
