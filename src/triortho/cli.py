@@ -174,7 +174,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         code = find_p3_code()
     else:
         if args.l is None or args.k is None:
-            raise ValueError("simulate needs --l and --k (or --input, or --p 3 for the searched code)")
+            raise ValueError("simulate needs --l and --k (or --input, or --p 3 for the assembled qutrit code)")
         code = build_code(args.p, args.l, args.k, A=args.positions, budget=args.budget)
     report = verify_transversal_action(code, third_level_gate(code.p))
     _emit(args, _dump_json(report))

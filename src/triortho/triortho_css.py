@@ -1,11 +1,22 @@
 """Tri-orthogonal CSS code assembly from punctured evaluation codes.
 
-The pipeline: bring the RS_l generator to systematic form over the puncture
-positions A (those columns become -Identity on the first k rows and vanish
-below), restrict to the complement, split rows into H1 (square weight != 0,
-logical representatives) and H0 (square weight 0, X stabilizers), and take
-G = a kernel basis of the stacked H as the Z stabilizers.  CSS(X, H0; Z, G)
-then encodes k qudits.
+The pipeline writes the family's matrices from their closed forms
+(MacWilliams-Sloane, ch. 10 §8), with no elimination.  Let L_S(T) be the
+Lagrange basis of the points S evaluated on T, one row per s, and let the
+punctured code live on the points outside the puncture positions A, in
+ascending order: P, the first l of them, then F, the rest.
+  H1  = -L_A(P ∪ F), rows in the order A is given: square weight != 0, the
+        logical representatives.
+  H0  = x^j minus its interpolant on A, for j = k .. l-1: square weight 0,
+        the X stabilizers.
+  G   = [-L_P(F)^T | I]: the Z stabilizers.  span(H) = PRS_l,A is MDS, so
+        its reduced echelon form is [I | L_P(F)], and G is the kernel basis
+        that elimination reads off it.
+These are the arrays that eliminating the RS_l generator over A, and then
+H = [H1; H0], gives; the test suite keeps that route as the oracle.
+CSS(X, H0; Z, G) then encodes k qudits.  code_from_matrix splits an
+arbitrary matrix by square weight and still takes G by elimination: such a
+matrix has no formula.
 
 Distances are exact whenever one enumeration fits the budget.  Every exact
 distance comes from one router, fplinalg.coset_min_weight: the least weight
@@ -41,21 +52,20 @@ from .fplinalg import (
     FpVector,
     MatrixFormatError,
     PrimeModulus,
+    _check_entries,
     coset_min_weight,
     inv_mod,
     kernel_basis,
     matmul_mod,
     power_sums,
+    powers_mod,
     prefix_ranks,
-    rref_with_transform,
 )
-from .reed_solomon import RsCodeSpec, rs_generator, rs_triply_even
+from .reed_solomon import RsCodeSpec, rs_triply_even
 from .starproduct import check_triorthogonal
 
 __all__ = [
-    "PunctureRankError",
     "TriorthogonalCode",
-    "systematic_puncture",
     "partition_rows",
     "build_code",
     "code_from_matrix",
@@ -66,37 +76,49 @@ __all__ = [
 ]
 
 
-class PunctureRankError(ValueError):
-    """The chosen puncture columns are not independent, so no systematic form exists."""
+def _inverses(a: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise inverses of nonzero residues, a^(p-2); at p = 2 each is 1 already."""
+    return powers_mod(a, p - 2, p) if p > 2 else a
 
 
-def systematic_puncture(rs_gen: FpMatrix, A) -> Tuple[FpMatrix, FpMatrix]:
-    """Row-reduce so the A columns read [-Identity; 0], then restrict to A^c.
+def _products(a: np.ndarray, p: int) -> np.ndarray:
+    """Product mod p of each row of a 2-D array, reduced after every factor."""
+    out = np.ones(a.shape[0], dtype=np.int64)
+    for column in a.T:
+        out = out * column % p
+    return out
 
-    Only the A columns are eliminated; the remaining columns keep their
-    evaluation-code texture (full reduced echelon form would mix extra
-    stabilizer rows into the logical ones).  Returns (H1, H0): the first k
-    rows and the remaining rows, both with the A columns deleted.
+
+def _lagrange(S: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
+    """L_S(T): entry [i, j] = M_S(t_j) / ((t_j - s_i)·M_S'(s_i)), with M_S(x) = prod_s (x - s).
+
+    Row i is the Lagrange basis polynomial of s_i, evaluated on T.  S and T are
+    disjoint, so no difference vanishes.
     """
-    p = rs_gen.p
-    A = tuple(int(a) for a in A)
-    k = len(A)
-    if len(set(A)) != k:
-        raise PunctureRankError("puncture positions must be distinct")
-    if any(a < 0 or a >= rs_gen.ncols for a in A):
-        raise PunctureRankError("puncture position out of range")
-    # with rank k the A block of T @ rs_gen is [Identity; 0]
-    _, rank, _, T = rref_with_transform(FpMatrix(rs_gen.modulus, rs_gen.array[:, list(A)]))
-    if rank < k:
-        raise PunctureRankError(f"puncture set unusable: columns {A} are rank deficient")
-    arr = matmul_mod(T.array, rs_gen.array, p)
-    rest = [c for c in range(rs_gen.ncols) if c not in set(A)]
-    h1 = (-arr[:k][:, rest]) % p  # flip sign so the A block is -Identity
-    h0 = arr[k:][:, rest]
-    return (
-        FpMatrix(rs_gen.modulus, h1),
-        FpMatrix(rs_gen.modulus, h0),
-    )
+    gaps = (T[None, :] - S[:, None]) % p
+    own = (S[:, None] - S[None, :]) % p
+    np.fill_diagonal(own, 1)
+    m_t = _products(gaps.T, p)
+    return m_t * _inverses(gaps, p) % p * _inverses(_products(own, p), p)[:, None] % p
+
+
+def _family_matrices(spec: RsCodeSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(H1, H0, G) of the family code on spec, from their closed forms (module docstring)."""
+    p, l, k = spec.p, spec.l, spec.k
+    A = np.array(spec.A, dtype=np.int64)
+    C = np.array(spec.complement(), dtype=np.int64)
+    n = C.size
+    h1 = -_lagrange(A, C, p) % p
+    # row j-k of the powers is x^j on C, then a_i^j on A
+    points = np.concatenate([C, A])
+    powers = np.empty((l - k, p), dtype=np.int64)
+    power = powers_mod(points, k, p) if k else np.ones(p, dtype=np.int64)
+    for row in powers:
+        row[:] = power
+        power = power * points % p
+    h0 = (powers[:, :n] + matmul_mod(powers[:, n:], h1, p)) % p
+    g = np.hstack([-_lagrange(C[:l], C[l:], p).T % p, np.eye(n - l, dtype=np.int64)])
+    return h1, h0, g
 
 
 def partition_rows(H: FpMatrix) -> Tuple[FpMatrix, FpMatrix]:
@@ -144,7 +166,7 @@ class TriorthogonalCode:
         return f"p{self.p}-custom-{digest}"
 
 
-def _assemble(modulus, l, A, H0, H1, budget, claimed: Optional[int]) -> TriorthogonalCode:
+def _assemble(modulus, l, A, H0, H1, G, budget, claimed: Optional[int]) -> TriorthogonalCode:
     stacked = H1.stack(H0)
     ok, witness = check_triorthogonal(stacked)
     if not ok:
@@ -155,7 +177,6 @@ def _assemble(modulus, l, A, H0, H1, budget, claimed: Optional[int]) -> Triortho
     square1 = power_sums(H1.array, 2, modulus.p)
     if not square1.all():
         raise ValueError(f"H1 row {int(np.flatnonzero(square1 == 0)[0])} has zero square weight")
-    G = kernel_basis(stacked)
     eps = FpVector(modulus, power_sums(H1.array, 3, modulus.p))
     # ranks from row counts, no elimination (module docstring)
     routes = (("macwilliams", stacked.ncols - G.nrows), ("direct", H1.nrows + G.nrows))
@@ -185,7 +206,14 @@ def _assemble(modulus, l, A, H0, H1, budget, claimed: Optional[int]) -> Triortho
 
 
 def build_code(p, l: int, k: int, A=None, budget: int = DEFAULT_BUDGET) -> TriorthogonalCode:
-    """Full pipeline from (p, l, k) to a verified code with params (p-k, k, d)."""
+    """Full pipeline from (p, l, k) to a verified code with params (p-k, k, d).
+
+    H1, H0 and G come from their closed forms, with no elimination.  The sizes
+    are checked against fplinalg.ENTRY_CAP before anything is allocated: the l
+    x p systematic RS_l generator that H1 and H0 restrict, and G.  The
+    independent checks stay (tri-orthogonality, the square-weight partition,
+    unit cubic weights), and H·G^T = 0 guards the formula for G.
+    """
     modulus = PrimeModulus.of(p)
     if not rs_triply_even(modulus, l):
         raise ValueError(f"3l <= p+1 failed for p={modulus.p}, l={l}: RS_l is not triply even")
@@ -195,9 +223,12 @@ def build_code(p, l: int, k: int, A=None, budget: int = DEFAULT_BUDGET) -> Trior
     if len(A) != k:
         raise ValueError(f"|A| = {len(A)} does not match k = {k}")
     spec = RsCodeSpec.make(modulus, l, A)  # validates k <= l and position ranges
-    gen = rs_generator(modulus, l)
-    H1, H0 = systematic_puncture(gen, spec.A)
-    code = _assemble(modulus, l, spec.A, H0, H1, budget, claimed=l - k)
+    _check_entries(l, modulus.p, f"the RS_{l} generator")
+    _check_entries(modulus.p - k - l, modulus.p - k, "a kernel basis")
+    H1, H0, G = (FpMatrix(modulus, a) for a in _family_matrices(spec))
+    if matmul_mod(H1.stack(H0).array, G.array.T, modulus.p).any():
+        raise AssertionError("H·G^T != 0: the closed-form G is not a kernel basis of H")
+    code = _assemble(modulus, l, spec.A, H0, H1, G, budget, claimed=l - k)
     if any(e != 1 for e in code.epsilon):
         raise AssertionError(f"cubic weights {code.epsilon.tolist()} deviate from 1")
     return code
@@ -209,7 +240,7 @@ def code_from_matrix(p, H: FpMatrix, budget: int = DEFAULT_BUDGET) -> Triorthogo
     if H.p != modulus.p:
         raise ValueError("matrix modulus disagrees with p")
     H0, H1 = partition_rows(H)
-    return _assemble(modulus, None, (), H0, H1, budget, claimed=None)
+    return _assemble(modulus, None, (), H0, H1, kernel_basis(H1.stack(H0)), budget, claimed=None)
 
 
 def _check(name: str, passed: bool, detail: str = "") -> dict:

@@ -323,6 +323,17 @@ def test_oversized_builds_hit_the_entry_cap(tmp_path, argv):
     assert "exceed" in done.stderr
 
 
+def test_construct_cap_is_checked_before_the_build(capsys, monkeypatch):
+    # l·p = 492 fits a cap of 600, but G would be 23 x 35 = 805 entries
+    monkeypatch.setattr("triortho.fplinalg.ENTRY_CAP", 600)
+    monkeypatch.setattr(
+        "triortho.triortho_css.check_triorthogonal", lambda *args: pytest.fail("built past the entry cap")
+    )
+    exit_code, out, err = run(capsys, "construct", "--p", "41", "--l", "12", "--k", "6")
+    assert (exit_code, out) == (4, "")
+    assert "a kernel basis of 23 x 35 entries exceeds the cap 600" in err
+
+
 def test_simulate_cap_counts_logical_states(capsys, monkeypatch):
     # rank H0 = 1, so one coset fits; the 31^9 logical states do not
     monkeypatch.setattr(
@@ -353,6 +364,12 @@ def test_simulate_missing_shape_is_parameter_error(capsys):
     exit_code, _, err = run(capsys, "simulate", "--p", "7")
     assert exit_code == 2
     assert "--l" in err
+
+
+def test_simulate_missing_shape_names_the_assembled_qutrit_code(capsys):
+    exit_code, out, err = run(capsys, "simulate", "--p", "7", "--l", "2")
+    assert (exit_code, out) == (2, "")
+    assert err == "error: simulate needs --l and --k (or --input, or --p 3 for the assembled qutrit code)\n"
 
 
 def test_gamma_text(capsys):

@@ -11,7 +11,9 @@ k became a bisection, the qutrit code search, simulate --p 3 and selftest's
 criterion 8 line before the p = 3 identity and motif search were vectorised,
 the qutrit codes with three stabilizer rows before the search became one
 assembly, the broken descriptors and the --matrix report before verify's
-ranks came from stacked eliminations);
+ranks came from stacked eliminations, the constructs on unsorted, end-point
+and random puncture sets and at k = 0 and k = l before build_code took its
+matrices from closed forms);
 a deliberate output change must re-record them and say why.
 """
 
@@ -27,6 +29,10 @@ from triortho.gates import find_p3_code
 from triortho.reed_solomon import audit_distance_formula
 from triortho.triortho_css import build_code
 
+RANDOM_211_35 = (
+    "144,91,189,61,5,80,161,140,166,158,87,145,149,173,164,33,106,181,"
+    "108,152,169,155,204,45,94,42,177,167,131,172,54,209,138,62,114"
+)
 GOLDEN = {
     "construct-11-4-2-positions": (
         ["construct", "--p", "11", "--l", "4", "--k", "2", "--positions", "1,5"],
@@ -47,6 +53,38 @@ GOLDEN = {
     "construct-701-234-100": (
         ["construct", "--p", "701", "--l", "234", "--k", "100"],
         "9f48ef0351dbe0842d3e134a3f2f64dfa4cc96c52c311ab852bcc4fe2dd3f3b8",
+        0,
+    ),
+    # unsorted puncture sets, sets holding 0 and p - 1, and k at both ends of 0..l
+    "construct-17-6-3-unsorted": (
+        ["construct", "--p", "17", "--l", "6", "--k", "3", "--positions", "11,2,7"],
+        "29c7f005da5332be8c37f482e2133e0efb4bc751fcbdde45e652dffd59d29d07",
+        0,
+    ),
+    "construct-19-6-3-ends": (
+        ["construct", "--p", "19", "--l", "6", "--k", "3", "--positions", "18,9,0"],
+        "7c624252d71e39550697adb3b0fe4a8a1d3eca97eb37b583892d87b42a5d78db",
+        0,
+    ),
+    "construct-13-4-2-ends": (
+        ["construct", "--p", "13", "--l", "4", "--k", "2", "--positions", "0,12"],
+        "93d99d41441f4d06197957afc29c05f5579ab89b19ca851ef00fd07070792961",
+        0,
+    ),
+    "construct-13-4-0": (
+        ["construct", "--p", "13", "--l", "4", "--k", "0"],
+        "7c4536e6846b2aea209f0544ba8540fdd78d986e22df761136982cf6038b18c6",
+        0,
+    ),
+    "construct-13-4-4": (
+        ["construct", "--p", "13", "--l", "4", "--k", "4"],
+        "df7aacd5f9a665ef94114f4f7fd7a97455a3f3b605a2310bf16ad365f2213053",
+        0,
+    ),
+    # random.Random(211).sample(range(211), 35), in the order drawn
+    "construct-211-70-35-random": (
+        ["construct", "--p", "211", "--l", "70", "--k", "35", "--positions", RANDOM_211_35],
+        "d3c8e2f78bce9f62a1c751cda27223161a6760a8d324ad53fbe70967bcf1ed1b",
         0,
     ),
     # the largest search the CLI accepts, in both formats: 9,588 records

@@ -1,11 +1,14 @@
-"""Code assembly: systematic puncturing, partition, distances, validation."""
+"""Code assembly: closed forms against the elimination oracle, partition, distances, validation."""
 
 import dataclasses
 import itertools
 import json
+from typing import Tuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from triortho.fplinalg import (
     DEFAULT_BUDGET,
@@ -13,24 +16,59 @@ from triortho.fplinalg import (
     FpVector,
     MatrixFormatError,
     PrimeModulus,
+    is_prime,
+    kernel_basis,
     matmul_mod,
     min_weight,
     rref,
+    rref_with_transform,
 )
 from triortho.gates import find_p3_code
 from triortho.reed_solomon import rs_generator
 from triortho.starproduct import power_weight
 from triortho.triortho_css import (
-    PunctureRankError,
     build_code,
     code_from_matrix,
     encoded_state_support,
     from_descriptor,
     partition_rows,
-    systematic_puncture,
     to_descriptor,
     validate_code,
 )
+
+
+class PunctureRankError(ValueError):
+    """The chosen puncture columns are not independent, so no systematic form exists."""
+
+
+def systematic_puncture(rs_gen: FpMatrix, A) -> Tuple[FpMatrix, FpMatrix]:
+    """Row-reduce so the A columns read [-Identity; 0], then restrict to A^c.
+
+    The elimination oracle for build_code's closed forms.  Only the A columns
+    are eliminated; the remaining columns keep their evaluation-code texture
+    (full reduced echelon form would mix extra stabilizer rows into the
+    logical ones).  Returns (H1, H0): the first k rows and the remaining rows,
+    both with the A columns deleted.
+    """
+    p = rs_gen.p
+    A = tuple(int(a) for a in A)
+    k = len(A)
+    if len(set(A)) != k:
+        raise PunctureRankError("puncture positions must be distinct")
+    if any(a < 0 or a >= rs_gen.ncols for a in A):
+        raise PunctureRankError("puncture position out of range")
+    # with rank k the A block of T @ rs_gen is [Identity; 0]
+    _, rank, _, T = rref_with_transform(FpMatrix(rs_gen.modulus, rs_gen.array[:, list(A)]))
+    if rank < k:
+        raise PunctureRankError(f"puncture set unusable: columns {A} are rank deficient")
+    arr = matmul_mod(T.array, rs_gen.array, p)
+    rest = [c for c in range(rs_gen.ncols) if c not in set(A)]
+    h1 = (-arr[:k][:, rest]) % p  # flip sign so the A block is -Identity
+    h0 = arr[k:][:, rest]
+    return (
+        FpMatrix(rs_gen.modulus, h1),
+        FpMatrix(rs_gen.modulus, h0),
+    )
 
 
 def test_systematic_puncture_example():
@@ -48,6 +86,30 @@ def test_systematic_puncture_rank_error():
         systematic_puncture(bad, (0,))
     with pytest.raises(PunctureRankError):
         systematic_puncture(rs_generator(7, 2), (0, 0))
+
+
+@st.composite
+def family_shapes(draw):
+    # a prime p <= 211, 1 <= l <= (p+1)/3, 0 <= k <= l, and k positions in random order
+    p = draw(st.sampled_from([q for q in range(2, 212) if is_prime(q)]))
+    l = draw(st.integers(1, (p + 1) // 3))
+    k = draw(st.integers(0, l))
+    A = draw(st.permutations(range(p)))[:k]
+    return p, l, k, tuple(A)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_shapes())
+@example((2, 1, 0, ()))  # p = 2 takes no Fermat power
+@example((2, 1, 1, (1,)))  # and here G is empty
+def test_closed_forms_match_the_elimination_route(shape):
+    p, l, k, A = shape
+    # budget 1 admits no enumeration, so d falls back to the family formula
+    code = build_code(p, l, k, A=A, budget=1)
+    h1, h0 = systematic_puncture(rs_generator(p, l), A)
+    assert np.array_equal(code.H1.array, h1.array)
+    assert np.array_equal(code.H0.array, h0.array)
+    assert np.array_equal(code.G.array, kernel_basis(h1.stack(h0)).array)
 
 
 def test_partition_rows():
