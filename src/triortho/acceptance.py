@@ -176,9 +176,11 @@ def criterion_7() -> dict:
 
 def criterion_8() -> dict:
     for length in (2, 3):
-        for vals in product(range(9), repeat=length):
-            if ternary_mod9_sum(vals) != sum(vals) % 9:
-                return _result(8, "qutrit machinery", False, f"mod-9 formula fails on {vals}")
+        cases = np.array(list(product(range(9), repeat=length)))
+        wrong = np.flatnonzero(ternary_mod9_sum(cases) != cases.sum(axis=1) % 9)
+        if wrong.size:
+            vals = tuple(int(v) for v in cases[wrong[0]])
+            return _result(8, "qutrit machinery", False, f"mod-9 formula fails on {vals}")
     code = find_p3_code()
     rows = code.H.nrows
     try:

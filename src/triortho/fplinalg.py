@@ -7,6 +7,8 @@ capped below 2^31, so the product of two entries fits in 62 bits but a sum of
 such products need not fit in 64.  Hence the invariant: every sum of products
 goes through matmul_mod (float64 BLAS while the exact sum stays below 2^53,
 Python integers beyond), and power sums reduce each term mod p before adding.
+_float64_exact is that 2^53 rule; starproduct's triple sums apply it to
+unreduced products of three entries before they fall back to matmul_mod.
 """
 
 from __future__ import annotations
@@ -298,10 +300,15 @@ def prefix_ranks(*blocks: FpMatrix) -> list:
     return np.searchsorted(pivots, np.cumsum([b.nrows for b in blocks])).tolist()
 
 
+def _float64_exact(terms: int, largest: int) -> bool:
+    """Is every partial sum of `terms` integers in [0, largest] exact in float64's 53-bit mantissa?"""
+    return terms * largest < 2**53
+
+
 def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """Exact A @ B mod p. Uses BLAS when sums fit in float64's 53-bit mantissa."""
     inner = A.shape[1] if A.ndim == 2 else A.shape[0]
-    if inner * (p - 1) * (p - 1) < 2**53:
+    if _float64_exact(inner, (p - 1) ** 2):
         # every partial sum is an integer below 2^53, so the float result is exact
         out = np.asarray((A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64))
         out %= p

@@ -162,8 +162,8 @@ def cubic_phase_sum(H: FpMatrix, u: FpVector) -> PhaseExponent:
     return PhaseExponent(int(lhs[0]), p)
 
 
-def ternary_mod9_sum(values) -> int:
-    """Sum mod 9 assembled purely from ternary digits.
+def ternary_mod9_sum(values):
+    """Sum mod 9 assembled purely from ternary digits, along the last axis.
 
     Writing each value as a0 + 3 a1, the sum mod 9 equals
 
@@ -173,14 +173,24 @@ def ternary_mod9_sum(values) -> int:
     s = sum over ordered pairs of a0_i^2 a0_j, t1 = sum of the a1 digits,
     and every one of those five quantities is reduced mod 3 first.  Agrees
     with plain integer addition on every input (tested exhaustively for
-    short sequences).
+    short sequences).  A sequence gives an int; an integer array gives one
+    sum per row, the recurrences running over all rows at once.
     """
-    e1 = e2 = e3 = p2 = t1 = 0
-    for v in values:
-        if not isinstance(v, (int, np.integer)) or not 0 <= v < 9:
-            raise ValueError(f"values must be integers in [0, 9), got {v!r}")
-        a0 = int(v) % 3
-        a1 = int(v) // 3
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+        for v in values:
+            if not isinstance(v, (int, np.integer)) or not 0 <= v < 9:
+                raise ValueError(f"values must be integers in [0, 9), got {v!r}")
+    elif values.size:
+        # an array of another dtype fails at its first entry, as the sequence loop does
+        bad = (values < 0) | (values >= 9) if values.dtype.kind in "iu" else np.ones(values.shape, bool)
+        if bad.any():
+            raise ValueError(f"values must be integers in [0, 9), got {values[bad][0]!r}")
+    values = np.asarray(values, dtype=np.int64)
+    e1 = e2 = e3 = p2 = t1 = np.zeros(values.shape[:-1], dtype=np.int64)
+    for v in np.moveaxis(values, -1, 0):
+        a0 = v % 3
+        a1 = v // 3
         e3 = (e3 + e2 * a0) % 3
         e2 = (e2 + e1 * a0) % 3
         e1 = (e1 + a0) % 3
@@ -188,7 +198,8 @@ def ternary_mod9_sum(values) -> int:
         t1 = (t1 + a1) % 3
     # s = sum_{i != j} a_i^2 a_j = (sum a^2)(sum a) - sum a^3, with a^3 = a mod 3
     s = (p2 * e1 - e1) % 3
-    return (e1 - 3 * e2 - 3 * s + 3 * e3 + 3 * t1) % 9
+    total = (e1 - 3 * e2 - 3 * s + 3 * e3 + 3 * t1) % 9
+    return int(total) if values.ndim == 1 else total
 
 
 def p3_phase_sum(H: FpMatrix, u: FpVector) -> PhaseExponent:

@@ -146,10 +146,28 @@ def test_ternary_mod9_sum_exhaustive_short():
 
 
 def test_ternary_mod9_sum_random_long():
+    # the 10^5 seeded cases, checked in one batched call per length
     rng = np.random.default_rng(90909)
+    by_length = {}
     for _ in range(10**5):
         vals = rng.integers(0, 9, size=rng.integers(5, 17))
-        assert ternary_mod9_sum(vals) == int(vals.sum()) % 9
+        by_length.setdefault(len(vals), []).append(vals)
+    assert sum(map(len, by_length.values())) == 10**5
+    for cases in by_length.values():
+        batch = np.stack(cases)
+        assert ternary_mod9_sum(batch).tolist() == (batch.sum(axis=1) % 9).tolist()
+
+
+def test_ternary_mod9_sum_rows_match_single_calls():
+    rng = np.random.default_rng(17)
+    batch = rng.integers(0, 9, size=(50, 7))
+    assert ternary_mod9_sum(batch).tolist() == [ternary_mod9_sum(row.tolist()) for row in batch]
+    assert ternary_mod9_sum(np.zeros((3, 0), dtype=np.int64)).tolist() == [0, 0, 0]
+    # the first bad entry in row-major order is named, as a single call names it
+    for bad, first in ((np.array([[1, 2], [9, -1]]), np.int64(9)), (np.ones((2, 2)), np.float64(1.0))):
+        with pytest.raises(ValueError) as raised:
+            ternary_mod9_sum(bad)
+        assert str(raised.value) == f"values must be integers in [0, 9), got {first!r}"
 
 
 def test_p3_phase_sum_basics():

@@ -1,11 +1,13 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triortho.fplinalg import FpMatrix, FpVector, kernel_basis, matmul_mod
+from triortho import starproduct
+from triortho.fplinalg import FpMatrix, FpVector, _float64_exact, kernel_basis, matmul_mod
 from triortho.starproduct import (
     StarWitness,
     check_triorthogonal,
@@ -166,14 +168,15 @@ def planted_matrices(draw):
     A pair (a, b) shares one column of nonzero entries; a triple (a, b, c)
     shares four columns whose pair sums vanish but whose triple sum does not.
     """
-    p = draw(st.sampled_from((7, 701, 2**31 - 1)))
-    m = draw(st.integers(3, 9))
+    p = draw(st.sampled_from((3, 5, 7, 211, 701, 2**31 - 1)))
+    # sizes and kinds come from the seeded generator, uniform where hypothesis would favour small draws
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = int(rng.integers(3, 21))
     blocks = [np.diag(rng.integers(1, p, size=m))]
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(rng.integers(0, 5)):
         rows = sorted(rng.choice(m, size=3, replace=False))
         block = np.zeros((m, 4), dtype=np.int64)
-        if draw(st.booleans()):
+        if rng.random() < 0.1:
             block[rows[:2], 0] = rng.integers(1, p, size=2)
         else:
             block[rows] = _planted_triple(rng, p)
@@ -181,11 +184,41 @@ def planted_matrices(draw):
     return FpMatrix(p, np.hstack(blocks))
 
 
-@settings(max_examples=40, deadline=None)
-@given(planted_matrices())
-def test_check_triorthogonal_witness_matches_pair_by_pair_scan(H):
+# panel widths 1-8 put the planted rows of a 20-row matrix on both sides of panel edges
+panel_widths = st.integers(1, 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_matrices(), panel_widths)
+def test_check_triorthogonal_witness_matches_pair_by_pair_scan(H, width):
     expected = pair_by_pair_witness(H)
-    assert check_triorthogonal(H) == (expected is None, expected)
+    with mock.patch.object(starproduct, "_PANEL", width):
+        assert check_triorthogonal(H) == (expected is None, expected)
+
+
+def _near_float_bound(p, seed):
+    """Six rows with every triple sum near p(p-1)^3, one planted triple among them.
+
+    The first p columns repeat the all-(p-1) column, which adds p(p-1)^2 and
+    p(p-1)^3, both 0 (mod p), to every pair and triple sum; six private
+    columns and the four of a planted triple follow, so n = p + 10.
+    """
+    rng = np.random.default_rng(seed)
+    block = np.zeros((6, 4), dtype=np.int64)
+    rows = sorted(rng.choice(6, size=3, replace=False))
+    block[rows] = _planted_triple(rng, p)
+    return FpMatrix(p, np.hstack([np.full((6, p), p - 1), np.diag(rng.integers(1, p, size=6)), block]))
+
+
+# 9739 and 9743 are consecutive primes; (p + 10)(p-1)^3 crosses 2^53 between them
+@pytest.mark.parametrize("p, exact", [(9739, True), (9743, False)])
+@pytest.mark.parametrize("seed", range(4))
+def test_check_triorthogonal_matches_oracle_on_both_sides_of_the_float_bound(p, exact, seed):
+    H = _near_float_bound(p, seed)
+    assert _float64_exact(H.ncols, (p - 1) ** 3) is exact
+    expected = pair_by_pair_witness(H)
+    assert expected is not None and expected.kind == "triple"
+    assert check_triorthogonal(H) == (False, expected)
 
 
 def test_check_triorthogonal_passes_f7_counterexample():
@@ -193,3 +226,63 @@ def test_check_triorthogonal_passes_f7_counterexample():
     H = FpMatrix.from_rows(7, [[1, 1, 2], [2, 4, 4]])
     assert pair_by_pair_witness(H) is None
     assert check_triorthogonal(H) == (True, None)
+
+
+def triple_by_triple_witness(G):
+    """The scan check_triply_even batches: non-decreasing triples (a, b, c), lexicographically."""
+    p, A, m = G.p, G.array, G.nrows
+    for a in range(m):
+        for b in range(a, m):
+            ab = A[a] * A[b] % p
+            sums = matmul_mod(A[b:], ab[:, None], p).ravel()
+            for off, val in enumerate(sums):
+                if val:
+                    return StarWitness("triple", (a, b, b + off), int(val))
+    return None
+
+
+CUBIC_MONOMIALS = {s: list(itertools.combinations_with_replacement(range(s), 3)) for s in (1, 2, 3)}
+
+
+def _planted_monomial(rng, p, triple):
+    """Columns on the rows of a non-decreasing triple whose only nonzero cubic sum is that triple's.
+
+    Over the s distinct rows, a column is a point x of F_p^s and a triple
+    (i, j, k) of them sums x_i x_j x_k.  Multiplicities w in the kernel of
+    every other cubic monomial, with a nonzero sum on the triple's own, give
+    the columns: point r repeated w_r times.
+    """
+    rows = sorted(set(triple))
+    target = tuple(rows.index(r) for r in triple)
+    monomials = CUBIC_MONOMIALS[len(rows)]
+    while True:
+        points = rng.integers(0, p, size=(len(rows), 12))
+        values = np.stack([points[i] * points[j] % p * points[k] % p for i, j, k in monomials])
+        others = [v for mono, v in zip(monomials, values) if mono != target]
+        w = _random_in_kernel(rng, others, p) if others else rng.integers(1, p, size=12)
+        if int(values[monomials.index(target)] @ w) % p:
+            return rows, np.repeat(points, w, axis=1)
+
+
+@st.composite
+def planted_spans(draw):
+    """Triply even rows (every column repeated p times) plus planted non-decreasing triples."""
+    p = draw(st.sampled_from((3, 5, 7, 11)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = int(rng.integers(1, 21))
+    blocks = [np.repeat(rng.integers(0, p, size=(m, 3)), p, axis=1)]
+    for _ in range(rng.integers(0, 5)):
+        triple = sorted(rng.choice(m, size=3))
+        rows, columns = _planted_monomial(rng, p, triple)
+        block = np.zeros((m, columns.shape[1]), dtype=np.int64)
+        block[rows] = columns
+        blocks.append(block)
+    return FpMatrix(p, np.hstack(blocks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_spans(), panel_widths)
+def test_check_triply_even_witness_matches_triple_by_triple_scan(G, width):
+    expected = triple_by_triple_witness(G)
+    with mock.patch.object(starproduct, "_PANEL", width):
+        assert check_triply_even(G) == (expected is None, expected)
