@@ -26,7 +26,7 @@ from .gates import (
 )
 from .overhead import gamma, gamma_scaling_check, primes_up_to, search_best_gamma
 from .qudit_sim import apply_x_string, apply_z_string, encode, verify_transversal_action
-from .reed_solomon import audit_distance_formula, rs_generator, rs_triply_even
+from .reed_solomon import audit_distance_formula, family_grid, rs_generator, rs_triply_even
 from .starproduct import check_triorthogonal, check_triply_even
 from .triortho_css import build_code
 
@@ -81,19 +81,10 @@ def criterion_3() -> dict:
     return _result(3, "sub-reference point at block size 83", bool(hits), detail)
 
 
-def _construction_grid(p_limit: int):
-    for p in primes_up_to(p_limit):
-        if p < 5:
-            continue
-        for l in range(2, (p + 1) // 3 + 1):
-            for k in range(1, l):
-                yield p, l, k
-
-
 def criterion_4() -> dict:
     bad = []
     count = 0
-    for p, l, k in _construction_grid(31):
+    for p, l, k in family_grid(31):
         code = build_code(p, l, k, budget=10**4)
         count += 1
         ok, witness = check_triorthogonal(code.H)
@@ -132,7 +123,7 @@ def criterion_6() -> dict:
     checked = 0
     total_u = 0
     bad = []
-    for p, l, k in _construction_grid(31):
+    for p, l, k in family_grid(31):
         if p**k > 10**6:
             continue
         code = build_code(p, l, k, budget=10**4)

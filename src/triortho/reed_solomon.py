@@ -5,12 +5,19 @@ RS_l is the span of the evaluations of 1, x, ..., x^(l-1) at the points
 position set A keeps the subcode vanishing on A and drops those coordinates;
 puncturing drops the coordinates outright.  Evaluation is a ring map from
 F_p[x]/(x^p - x), so star products of codewords mirror polynomial products.
+
+The systematic split of PRS_l,A and the shortened code SRS_l,A are written
+here by formula (MacWilliams-Sloane, ch. 10 §8), with no elimination.  With
+L_S(T) the Lagrange basis of the points S on T, one row per s, and C the
+points outside A in ascending order, PRS_l,A = span([H1; H0]) with
+  H1 = -L_A(C), rows in the order A is given, and
+  H0 = x^j minus its interpolant on A, on C, for j = k .. l-1: SRS_l,A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -21,8 +28,9 @@ from .fplinalg import (
     PrimeModulus,
     _check_entries,
     coset_min_weight,
-    kernel_basis,
+    is_prime,
     matmul_mod,
+    powers_mod,
 )
 
 __all__ = [
@@ -32,6 +40,7 @@ __all__ = [
     "puncture",
     "rs_triply_even",
     "prs_min_distance",
+    "family_grid",
     "audit_distance_formula",
 ]
 
@@ -95,16 +104,53 @@ def puncture(spec: RsCodeSpec) -> FpMatrix:
     return FpMatrix(spec.modulus, gen.array[:, list(spec.complement())])
 
 
+def _inverses(a: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise inverses of nonzero residues, a^(p-2); at p = 2 each is 1 already."""
+    return powers_mod(a, p - 2, p) if p > 2 else a
+
+
+def _products(a: np.ndarray, p: int) -> np.ndarray:
+    """Product mod p of each row of a 2-D array, reduced after every factor."""
+    out = np.ones(a.shape[0], dtype=np.int64)
+    for column in a.T:
+        out = out * column % p
+    return out
+
+
+def _lagrange(S: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
+    """L_S(T): entry [i, j] = M_S(t_j) / ((t_j - s_i)·M_S'(s_i)), with M_S(x) = prod_s (x - s).
+
+    Row i is the Lagrange basis polynomial of s_i, evaluated on T.  S and T are
+    disjoint, so no difference vanishes.
+    """
+    gaps = (T[None, :] - S[:, None]) % p
+    own = (S[:, None] - S[None, :]) % p
+    np.fill_diagonal(own, 1)
+    m_t = _products(gaps.T, p)
+    return m_t * _inverses(gaps, p) % p * _inverses(_products(own, p), p)[:, None] % p
+
+
+def _systematic_split(spec: RsCodeSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """(H1, H0) of PRS_l,A on the complement of A, from their closed forms (module docstring)."""
+    p, l, k = spec.p, spec.l, spec.k
+    A = np.array(spec.A, dtype=np.int64)
+    C = np.array(spec.complement(), dtype=np.int64)
+    h1 = -_lagrange(A, C, p) % p
+    # row j-k of the powers is x^j on C, then a_i^j on A
+    points = np.concatenate([C, A])
+    powers = np.empty((l - k, p), dtype=np.int64)
+    power = powers_mod(points, k, p) if k else np.ones(p, dtype=np.int64)
+    for row in powers:
+        row[:] = power
+        power = power * points % p
+    h0 = (powers[:, : C.size] + matmul_mod(powers[:, C.size :], h1, p)) % p
+    return h1, h0
+
+
 def shorten(spec: RsCodeSpec) -> FpMatrix:
-    """Generator of SRS_l,A: the subcode of RS_l vanishing on A, restricted to the complement."""
-    gen = rs_generator(spec.modulus, spec.l)
-    if spec.k == 0:
-        return gen
-    # combinations c with c @ gen[:, A] = 0 give the codewords vanishing on A
-    acols = FpMatrix(spec.modulus, gen.array[:, list(spec.A)].T)
-    combos = kernel_basis(acols)
-    words = matmul_mod(combos.array, gen.array, spec.p)
-    return FpMatrix(spec.modulus, words[:, list(spec.complement())])
+    """Generator of SRS_l,A, the subcode of RS_l vanishing on A, on the complement: H0, rows x^k .. x^(l-1)."""
+    _check_entries(spec.l, spec.p, f"the RS_{spec.l} generator")
+    return FpMatrix(spec.modulus, _systematic_split(spec)[1])
 
 
 def rs_triply_even(p, l: int) -> bool:
@@ -145,38 +191,40 @@ def prs_min_distance(spec: RsCodeSpec, budget: int = DEFAULT_BUDGET) -> int:
     return d
 
 
+def family_grid(p_max: int) -> Iterator[Tuple[int, int, int]]:
+    """Yield (p, l, k) for every prime 5 <= p <= p_max, 2 <= l <= (p+1)/3 and 1 <= k < l, in that nesting."""
+    for p in range(5, p_max + 1):
+        if is_prime(p):
+            for l in range(2, (p + 1) // 3 + 1):
+                for k in range(1, l):
+                    yield p, l, k
+
+
 def audit_distance_formula(p_max: int, budget: int = DEFAULT_BUDGET) -> list:
     """Check the claimed punctured-code distance l-k on every in-budget instance.
 
-    Returns one named entry per (p, l, k) with the default puncture positions
-    {0..k-1}: {"name", "p", "l", "k", "claimed", "computed", "matches",
-    "skipped"}.  Mismatches are reported, never silently accepted.
+    Returns one named entry per family_grid(p_max) member, punctured at {0..k-1}:
+    {"name", "p", "l", "k", "claimed", "computed", "matches", "skipped"}.
+    Mismatches are reported, never silently accepted.
     """
-    from .fplinalg import is_prime
-
     entries = []
-    for p in range(5, p_max + 1):
-        if not is_prime(p):
-            continue
-        for l in range(2, (p + 1) // 3 + 1):
-            for k in range(1, l):
-                spec = RsCodeSpec.make(p, l, tuple(range(k)))
-                entry = {
-                    "name": f"p{p}-l{l}-k{k}",
-                    "p": p,
-                    "l": l,
-                    "k": k,
-                    "claimed": l - k,
-                    "computed": None,
-                    "matches": None,
-                    "skipped": False,
-                }
-                try:
-                    d = prs_min_distance(spec, budget=budget)
-                except BudgetExceeded:
-                    entry["skipped"] = True
-                else:
-                    entry["computed"] = d
-                    entry["matches"] = d == l - k
-                entries.append(entry)
+    for p, l, k in family_grid(p_max):
+        entry = {
+            "name": f"p{p}-l{l}-k{k}",
+            "p": p,
+            "l": l,
+            "k": k,
+            "claimed": l - k,
+            "computed": None,
+            "matches": None,
+            "skipped": False,
+        }
+        try:
+            d = prs_min_distance(RsCodeSpec.make(p, l, tuple(range(k))), budget=budget)
+        except BudgetExceeded:
+            entry["skipped"] = True
+        else:
+            entry["computed"] = d
+            entry["matches"] = d == l - k
+        entries.append(entry)
     return entries

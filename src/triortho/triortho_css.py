@@ -1,17 +1,13 @@
 """Tri-orthogonal CSS code assembly from punctured evaluation codes.
 
-The pipeline writes the family's matrices from their closed forms
-(MacWilliams-Sloane, ch. 10 §8), with no elimination.  Let L_S(T) be the
-Lagrange basis of the points S evaluated on T, one row per s, and let the
-punctured code live on the points outside the puncture positions A, in
-ascending order: P, the first l of them, then F, the rest.
-  H1  = -L_A(P ∪ F), rows in the order A is given: square weight != 0, the
-        logical representatives.
-  H0  = x^j minus its interpolant on A, for j = k .. l-1: square weight 0,
-        the X stabilizers.
-  G   = [-L_P(F)^T | I]: the Z stabilizers.  span(H) = PRS_l,A is MDS, so
-        its reduced echelon form is [I | L_P(F)], and G is the kernel basis
-        that elimination reads off it.
+build_code writes the family's matrices from closed forms, with no
+elimination.  H1 (square weight != 0, the logical representatives) and H0
+(square weight 0, the X stabilizers) are reed_solomon's systematic split of
+PRS_l,A.  With P the first l points outside A and F the rest, ascending,
+and L as in reed_solomon,
+  G = [-L_P(F)^T | I]: the Z stabilizers.  span(H) = PRS_l,A is MDS, so its
+      reduced echelon form is [I | L_P(F)], and G is the kernel basis that
+      elimination reads off it.
 These are the arrays that eliminating the RS_l generator over A, and then
 H = [H1; H0], gives; the test suite keeps that route as the oracle.
 CSS(X, H0; Z, G) then encodes k qudits.  code_from_matrix splits an
@@ -58,10 +54,9 @@ from .fplinalg import (
     kernel_basis,
     matmul_mod,
     power_sums,
-    powers_mod,
     prefix_ranks,
 )
-from .reed_solomon import RsCodeSpec, rs_triply_even
+from .reed_solomon import RsCodeSpec, _lagrange, _systematic_split, rs_triply_even
 from .starproduct import check_triorthogonal
 
 __all__ = [
@@ -74,51 +69,6 @@ __all__ = [
     "to_descriptor",
     "from_descriptor",
 ]
-
-
-def _inverses(a: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise inverses of nonzero residues, a^(p-2); at p = 2 each is 1 already."""
-    return powers_mod(a, p - 2, p) if p > 2 else a
-
-
-def _products(a: np.ndarray, p: int) -> np.ndarray:
-    """Product mod p of each row of a 2-D array, reduced after every factor."""
-    out = np.ones(a.shape[0], dtype=np.int64)
-    for column in a.T:
-        out = out * column % p
-    return out
-
-
-def _lagrange(S: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
-    """L_S(T): entry [i, j] = M_S(t_j) / ((t_j - s_i)·M_S'(s_i)), with M_S(x) = prod_s (x - s).
-
-    Row i is the Lagrange basis polynomial of s_i, evaluated on T.  S and T are
-    disjoint, so no difference vanishes.
-    """
-    gaps = (T[None, :] - S[:, None]) % p
-    own = (S[:, None] - S[None, :]) % p
-    np.fill_diagonal(own, 1)
-    m_t = _products(gaps.T, p)
-    return m_t * _inverses(gaps, p) % p * _inverses(_products(own, p), p)[:, None] % p
-
-
-def _family_matrices(spec: RsCodeSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(H1, H0, G) of the family code on spec, from their closed forms (module docstring)."""
-    p, l, k = spec.p, spec.l, spec.k
-    A = np.array(spec.A, dtype=np.int64)
-    C = np.array(spec.complement(), dtype=np.int64)
-    n = C.size
-    h1 = -_lagrange(A, C, p) % p
-    # row j-k of the powers is x^j on C, then a_i^j on A
-    points = np.concatenate([C, A])
-    powers = np.empty((l - k, p), dtype=np.int64)
-    power = powers_mod(points, k, p) if k else np.ones(p, dtype=np.int64)
-    for row in powers:
-        row[:] = power
-        power = power * points % p
-    h0 = (powers[:, :n] + matmul_mod(powers[:, n:], h1, p)) % p
-    g = np.hstack([-_lagrange(C[:l], C[l:], p).T % p, np.eye(n - l, dtype=np.int64)])
-    return h1, h0, g
 
 
 def partition_rows(H: FpMatrix) -> Tuple[FpMatrix, FpMatrix]:
@@ -208,25 +158,30 @@ def _assemble(modulus, l, A, H0, H1, G, budget, claimed: Optional[int]) -> Trior
 def build_code(p, l: int, k: int, A=None, budget: int = DEFAULT_BUDGET) -> TriorthogonalCode:
     """Full pipeline from (p, l, k) to a verified code with params (p-k, k, d).
 
-    H1, H0 and G come from their closed forms, with no elimination.  The sizes
-    are checked against fplinalg.ENTRY_CAP before anything is allocated: the l
-    x p systematic RS_l generator that H1 and H0 restrict, and G.  The
-    independent checks stay (tri-orthogonality, the square-weight partition,
-    unit cubic weights), and H·G^T = 0 guards the formula for G.
+    H1 and H0 come from reed_solomon's closed form of the systematic split,
+    and G from the closed form in the module docstring: none needs
+    elimination.  The sizes are checked against fplinalg.ENTRY_CAP before
+    anything is allocated: the l x p systematic RS_l generator that H1 and H0
+    restrict, and G.  The independent checks stay (tri-orthogonality, the
+    square-weight partition, unit cubic weights), and H·G^T = 0 guards the
+    formula for G.
     """
     modulus = PrimeModulus.of(p)
+    p = modulus.p
     if not rs_triply_even(modulus, l):
-        raise ValueError(f"3l <= p+1 failed for p={modulus.p}, l={l}: RS_l is not triply even")
+        raise ValueError(f"3l <= p+1 failed for p={p}, l={l}: RS_l is not triply even")
     if A is None:
         A = tuple(range(k))
     A = tuple(int(a) for a in A)
     if len(A) != k:
         raise ValueError(f"|A| = {len(A)} does not match k = {k}")
     spec = RsCodeSpec.make(modulus, l, A)  # validates k <= l and position ranges
-    _check_entries(l, modulus.p, f"the RS_{l} generator")
-    _check_entries(modulus.p - k - l, modulus.p - k, "a kernel basis")
-    H1, H0, G = (FpMatrix(modulus, a) for a in _family_matrices(spec))
-    if matmul_mod(H1.stack(H0).array, G.array.T, modulus.p).any():
+    _check_entries(l, p, f"the RS_{l} generator")
+    _check_entries(p - k - l, p - k, "a kernel basis")
+    H1, H0 = (FpMatrix(modulus, a) for a in _systematic_split(spec))
+    C = np.array(spec.complement(), dtype=np.int64)
+    G = FpMatrix(modulus, np.hstack([-_lagrange(C[:l], C[l:], p).T % p, np.eye(p - k - l, dtype=np.int64)]))
+    if matmul_mod(H1.stack(H0).array, G.array.T, p).any():
         raise AssertionError("H·G^T != 0: the closed-form G is not a kernel basis of H")
     code = _assemble(modulus, l, spec.A, H0, H1, G, budget, claimed=l - k)
     if any(e != 1 for e in code.epsilon):

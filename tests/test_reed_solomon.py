@@ -10,6 +10,7 @@ from triortho.fplinalg import (
     FpMatrix,
     FpVector,
     PrimeModulus,
+    ResourceCapError,
     matmul_mod,
     min_weight,
     rref,
@@ -25,11 +26,7 @@ from triortho.reed_solomon import (
 )
 from triortho.starproduct import check_triply_even
 
-
-def rowspace_equal(A: FpMatrix, B: FpMatrix) -> bool:
-    ra, rka, _ = rref(A)
-    rb, rkb, _ = rref(B)
-    return rka == rkb and ra.array[:rka].tolist() == rb.array[:rkb].tolist()
+from test_triortho_css import systematic_puncture
 
 
 def test_ev_monomials():
@@ -109,12 +106,9 @@ def test_puncture_example():
 
 
 def test_shorten_example():
-    # codewords of RS_3 over F_5 vanishing at 0 are spanned by x and x^2
+    # codewords of RS_3 over F_5 vanishing at 0: x and x^2, whose interpolants on {0} vanish
     spec = RsCodeSpec.make(5, 3, (0,))
-    s = shorten(spec)
-    assert s.nrows == 2
-    expect = FpMatrix.from_rows(5, [[1, 2, 3, 4], [1, 4, 4, 1]])
-    assert rowspace_equal(s, expect)
+    assert shorten(spec).tolist() == [[1, 2, 3, 4], [1, 4, 4, 1]]
 
 
 def test_shorten_empty_positions_is_identity():
@@ -124,20 +118,33 @@ def test_shorten_empty_positions_is_identity():
 
 
 def test_puncture_shorten_duality():
-    # punctured and shortened codes of complementary dimensions are dual pairs
+    # punctured and shortened codes of complementary dimensions are dual pairs,
+    # and the closed-form shortened generator is the one elimination gives
     rng = np.random.default_rng(7)
     for p in (5, 7, 11, 13):
         for l in range(1, p):
             kmax = min(l, p - l, 3)
             for k in range(0, kmax + 1):
-                a = tuple(sorted(int(x) for x in rng.choice(p, size=k, replace=False)))
+                a = tuple(int(x) for x in rng.choice(p, size=k, replace=False))
                 spec = RsCodeSpec.make(p, l, a)
                 pr = puncture(spec)
                 sh = shorten(spec)
+                assert np.array_equal(sh.array, systematic_puncture(rs_generator(p, l), a)[1].array)
                 assert not matmul_mod(pr.array, sh.array.T, p).any()
                 _, rp, _ = rref(pr)
-                assert rp + sh.nrows == p - k
-                assert sh.nrows == l - k  # position columns always independent
+                _, rs, _ = rref(sh)
+                assert rs == sh.nrows == l - k  # position columns always independent
+                assert rp + rs == p - k
+
+
+def test_shorten_checks_the_cap_before_it_allocates(monkeypatch):
+    def fail(*args):
+        raise AssertionError("_lagrange ran before the cap check")
+
+    monkeypatch.setattr("triortho.fplinalg.ENTRY_CAP", 100)
+    monkeypatch.setattr("triortho.reed_solomon._lagrange", fail)
+    with pytest.raises(ResourceCapError, match="the RS_12 generator of 12 x 41 entries"):
+        shorten(RsCodeSpec.make(41, 12, range(6)))
 
 
 def test_triply_even_criterion_boundaries():
