@@ -6,8 +6,12 @@ a cubic (p >= 5) or lifted-linear (p = 3) sum over its entries; the
 identities verified here reduce that word-wise sum to a per-logical-qudit
 sum weighted by the cubic weights of the H1 rows.  One sweep checks them
 for every prime, a block of coefficient vectors at a time, with a mod-p
-cubic kernel (p >= 5) or a mod-9 lifted-sum kernel (p = 3).  The qutrit
-code is assembled, not searched: the shortest full-support motifs, each on
+cubic kernel (p >= 5) or a mod-9 lifted-sum kernel (p = 3).  At p >= 5
+the identity is a cubic form in the coefficients, so
+starproduct.check_phase_identity decides it on all of F_p^m from the
+triple sums; verify uses that, and the sweep stays the independent
+re-derivation for the simulator, the acceptance criteria and p = 3.  The
+qutrit code is assembled, not searched: the shortest full-support motifs, each on
 its own columns, already give the shortest code that keeps the identity.
 All arithmetic is exact integer work — complex numbers only appear in the
 state-vector simulator.
@@ -150,8 +154,10 @@ def cubic_phase_sum(H: FpMatrix, u: FpVector) -> PhaseExponent:
     f = u·H with u running over all rows (coefficients on H1 rows carry the
     logical label, coefficients on H0 rows shift within the coset; the H0
     rows contribute cubic weight 0 for construction codes).  Raises
-    PhaseIdentityError when the two sides disagree — tri-orthogonality alone
-    does not force the identity, the punctured-triply-even structure does.
+    PhaseIdentityError when the two sides disagree.  Tri-orthogonality alone
+    does not force the identity: it holds for every u exactly when the sums
+    over the triples (a, a, b) vanish as well
+    (starproduct.check_phase_identity).
     """
     p = H.p
     if p < 5:

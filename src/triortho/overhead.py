@@ -127,19 +127,16 @@ def search_best_gamma(p_max: int) -> List[OverheadRecord]:
 
 def gamma_scaling_check(records: Sequence[OverheadRecord]):
     """(c_fit, monotone_ok): envelope constant for gamma <= c/ln(p) and
-    non-increase of the running minimum across primes."""
+    non-increase of the running minimum of gamma across primes.
+
+    monotone_ok is always True: a running minimum never rises, whatever the
+    records hold, so no input can make it False.  It is kept because
+    `search --format json` and criterion 9 report it.
+    """
     if len(records) < 10:
         raise ValueError(f"need at least 10 records, got {len(records)}")
     c_fit = max(r.gamma * math.log(r.p) for r in records)
-    running = math.inf
-    monotone_ok = True
-    previous = math.inf
-    for r in sorted(records, key=lambda r: r.p):
-        running = min(running, r.gamma)
-        if running > previous:
-            monotone_ok = False
-        previous = running
-    return (c_fit, monotone_ok)
+    return (c_fit, True)
 
 
 def to_csv(records: Sequence[OverheadRecord]) -> str:

@@ -1,4 +1,4 @@
-"""Componentwise (star) products and the two orthogonality predicates.
+"""Componentwise (star) products, the two orthogonality predicates and the cubic phase identity.
 
 A matrix is tri-orthogonal when every pair and every triple of *distinct*
 rows has vanishing star-product weight.  A space is triply even when every
@@ -14,6 +14,14 @@ mod p.  Above that bound the star products are reduced first and matmul_mod
 takes the product, in float64 or Python integers as its own bound allows.
 Panels are visited in (a, b) order and each is scanned row-major, so the
 first nonzero sum found is the lexicographically first violated triple.
+
+At p >= 5 the cubic phase identity sum_i (u·H)_i^3 = sum_a u_a^3 eps_a,
+eps_a = sum_i h_ai^3, holds on all of F_p^m exactly when the sums over the
+triples (a, a, b), a != b, and over the distinct triples vanish: the gap
+between the two sides is a cubic form in u with coefficients
+3 sum_i h_ai^2 h_bi and 6 sum_i h_ai h_bi h_ci, every variable has degree
+below p, and 3 and 6 are units mod p.  One product (H∘H)·H^T gives the
+first kind, the triple kernel the second.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ __all__ = [
     "power_weight",
     "check_triorthogonal",
     "check_triply_even",
+    "check_phase_identity",
 ]
 
 
@@ -87,6 +96,28 @@ def check_triply_even(G: FpMatrix):
     which suffices by trilinearity of the triple weight.
     """
     return _triple_verdict(G.array, G.p, 0)
+
+
+def check_phase_identity(H: FpMatrix):
+    """Does sum_i (u·H)_i^3 = sum_a u_a^3 eps_a hold for every u in F_p^m?  (p >= 5)
+
+    Returns (True, None) or (False, witness).  The witness is the first
+    nonzero off-diagonal entry (a, b) of (H∘H)·H^T in row-major order, as the
+    triple (a, a, b) or (b, a, a), else the first distinct triple that
+    check_triorthogonal would report.  eps is H's own cubic weights, so no
+    stored weight is read.
+    """
+    p = H.p
+    if p < 5:
+        raise ValueError(f"the cubic phase identity is a cubic form only at p >= 5, got p = {p}")
+    A = H.array
+    sums = matmul_mod(A * A % p, A.T, p)
+    np.fill_diagonal(sums, 0)
+    hits = np.argwhere(sums)
+    if hits.size:
+        a, b = (int(x) for x in hits[0])
+        return False, StarWitness("triple", (a, a, b) if a < b else (b, a, a), int(sums[a, b]))
+    return _triple_verdict(A, p, 1)
 
 
 _PANEL = 64  # rows b whose star products with row a are multiplied at once

@@ -247,14 +247,36 @@ def test_verify_matrix_rejects_non_triorthogonal(capsys, tmp_path):
     assert report["checks"][0]["name"] == "tri_orthogonality"
 
 
+F7_COUNTEREXAMPLE = "7 2 3\n1 1 2\n2 4 4\n"
+# four unit rows ahead of the counterexample: 7^4 vectors in odometer order leave
+# row 5 at 0, so the first 10^4 of 7^6 never reach u = [0, 0, 0, 0, 1, 1]
+F7_PADDED_COUNTEREXAMPLE = "7 6 7\n" + "".join(
+    " ".join(map(str, row)) + "\n"
+    for row in [[int(c == r) for c in range(7)] for r in range(4)] + [[0] * 4 + [1, 1, 2], [0] * 4 + [2, 4, 4]]
+)
+
+
 def test_verify_matrix_flags_phase_identity(capsys, tmp_path):
     # Tri-orthogonal by pair/triple sums, yet the cubic identity fails on it.
     target = tmp_path / "H.txt"
-    target.write_text("7 2 3\n1 1 2\n2 4 4\n")
-    exit_code, out, _ = run(capsys, "verify", "--matrix", str(target))
-    assert exit_code == 1
-    failed = {c["name"] for c in json.loads(out)["checks"] if not c["passed"]}
-    assert "phase_identity" in failed
+    for text in (F7_COUNTEREXAMPLE, F7_PADDED_COUNTEREXAMPLE):
+        target.write_text(text)
+        exit_code, out, _ = run(capsys, "verify", "--matrix", str(target))
+        assert exit_code == 1
+        failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+        assert failed == ["phase_identity"]
+
+
+def test_verify_sweeps_the_phase_identity_only_at_p3(capsys, tmp_path, monkeypatch):
+    swept = []
+    monkeypatch.setattr("triortho.cli.phase_identity_sweep", lambda H, count: swept.append((H.p, count)))
+    target = tmp_path / "code.json"
+    assert main(["construct", "--p", "13", "--l", "4", "--k", "1", "--output", str(target)]) == 0
+    assert run(capsys, "verify", "--input", str(target))[0] == 0
+    assert swept == []
+    target.write_text("3 2 4\n1 0 0 0\n0 1 1 1\n")
+    assert run(capsys, "verify", "--matrix", str(target))[0] == 0
+    assert swept == [(3, 9)]
 
 
 def test_simulate_small_code(capsys):

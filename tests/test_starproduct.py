@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from triortho import starproduct
 from triortho.fplinalg import FpMatrix, FpVector, _float64_exact, kernel_basis, matmul_mod
+from triortho.gates import PhaseIdentityError, phase_identity_sweep
 from triortho.starproduct import (
     StarWitness,
+    check_phase_identity,
     check_triorthogonal,
     check_triply_even,
     power_weight,
@@ -226,6 +228,12 @@ def test_check_triorthogonal_passes_f7_counterexample():
     H = FpMatrix.from_rows(7, [[1, 1, 2], [2, 4, 4]])
     assert pair_by_pair_witness(H) is None
     assert check_triorthogonal(H) == (True, None)
+    # sum h_0^2 h_1 = 1 and sum h_1^2 h_0 = 3 (mod 7)
+    assert check_phase_identity(H) == (False, StarWitness("triple", (0, 0, 1), 1))
+    flipped = FpMatrix.from_rows(7, [[2, 4, 4], [1, 1, 2]])
+    assert check_phase_identity(flipped) == (False, StarWitness("triple", (0, 0, 1), 3))
+    with pytest.raises(ValueError):
+        check_phase_identity(FpMatrix.from_rows(3, [[1, 1, 1]]))
 
 
 def triple_by_triple_witness(G):
@@ -286,3 +294,53 @@ def test_check_triply_even_witness_matches_triple_by_triple_scan(G, width):
     expected = triple_by_triple_witness(G)
     with mock.patch.object(starproduct, "_PANEL", width):
         assert check_triply_even(G) == (expected is None, expected)
+
+
+@st.composite
+def phase_matrices(draw):
+    """A sparse m x n base at p in {5, 7, 11}, maybe with a planted triple: (H, n, triple or None).
+
+    About 40% of the base entries are nonzero, so roughly half the bases
+    keep the identity.  A planted (a, a, b), (a, b, b) or (a, b, c) appends
+    columns whose only nonzero cubic sum is that triple's.
+    """
+    p = draw(st.sampled_from((5, 7, 11)))
+    # sizes and kinds come from the seeded generator, uniform where hypothesis would favour small draws
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = int(rng.integers(0, 5)), int(rng.integers(1, 9))
+    A = rng.integers(1, p, size=(m, n)) * (rng.random((m, n)) < 0.4)
+    shape = (None, "aab", "abb", "abc")[rng.integers(4)]
+    if shape is None or m < len(set(shape)):
+        return FpMatrix(p, A), n, None
+    chosen = sorted(int(r) for r in rng.choice(m, size=len(set(shape)), replace=False))
+    triple = tuple(chosen[ord(x) - ord("a")] for x in shape)
+    rows, columns = _planted_monomial(rng, p, triple)
+    block = np.zeros((m, columns.shape[1]), dtype=np.int64)
+    block[rows] = columns
+    return FpMatrix(p, np.hstack([A, block])), n, triple
+
+
+def _sweep_passes(H):
+    try:
+        phase_identity_sweep(H, H.p**H.nrows)
+    except PhaseIdentityError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(phase_matrices())
+def test_check_phase_identity_matches_the_exhaustive_sweep(drawn):
+    H, n, planted = drawn
+    ok, witness = check_phase_identity(H)
+    assert ok == _sweep_passes(H)
+    if ok:
+        assert witness is None
+        return
+    a, b, c = witness.indices
+    assert witness.kind == "triple" and len({a, b, c}) > 1
+    p, A = H.p, H.array
+    assert witness.value == int((A[a] * A[b] % p * A[c]).sum() % p)
+    # on a base that keeps the identity, the planted triple is the only nonzero sum
+    if planted is not None and _sweep_passes(FpMatrix(p, A[:, :n])):
+        assert witness.indices == planted
